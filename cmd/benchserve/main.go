@@ -7,7 +7,7 @@
 //     (a bounded repeated-seed-set workload served from cached bytes) —
 //     the run fails unless the cached path clears -min-speedup;
 //   - byte identity: every body in the workload is replayed with the
-//     cache on and off and across shard counts and must match exactly;
+//     cache on and off and must match exactly;
 //   - load shedding: a burst of expensive queries against a tiny
 //     admission window, verifying the wait queue stays bounded and the
 //     overflow is shed with 429/503 instead of queueing without limit.
@@ -142,19 +142,19 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Note: "workload mixes repeated /spread seed sets with small /topk queries; cold = cache disabled (every query recomputes); cached = LRU over rendered " +
-			"bodies with the same workload; identical bodies verified across cache on/off and shards 1/4",
+			"bodies with the same workload; identical bodies verified with the cache on and off",
 	}
 
-	newServer := func(cacheSize, shards int) *serve.Server {
-		s := serve.New(serve.Config{Shards: shards, CacheSize: cacheSize, MaxInflight: -1})
+	newServer := func(cacheSize int) *serve.Server {
+		s := serve.New(serve.Config{CacheSize: cacheSize, MaxInflight: -1})
 		s.LoadApprox(sum)
 		return s
 	}
 
 	// Phase 1: cold vs cached throughput on the same handler shape.
-	cold := newServer(0, serve.DefaultShards)
+	cold := newServer(0)
 	coldD, coldLat := drive(cold.Handler(), paths, *queries, *clients)
-	cached := newServer(4096, serve.DefaultShards)
+	cached := newServer(4096)
 	cachedD, cachedLat := drive(cached.Handler(), paths, *queries, *clients)
 	rep.ColdQPS = float64(*queries) / coldD.Seconds()
 	rep.CachedQPS = float64(*queries) / cachedD.Seconds()
@@ -167,33 +167,31 @@ func main() {
 		rep.ColdQPS, rep.ColdP50Ms, rep.ColdP99Ms, rep.CachedQPS, rep.CachedP50Ms, rep.CachedP99Ms, rep.CacheSpeedup)
 
 	// Phase 2: byte identity. Replay every workload path (plus the other
-	// routes) against cache on/off × shards {1,4} and compare bodies.
+	// routes) with the cache off and on and compare bodies.
 	checkPaths := append([]string{}, paths...)
 	checkPaths = append(checkPaths, "/influence?node=0", "/topk?k=8", "/spreadby?seeds=1,2,3&deadline="+fmt.Sprint(omega), "/stats")
 	rep.BytesIdentity = true
 	var want []string
-	for _, shards := range []int{1, 4} {
-		for _, cacheSize := range []int{0, 4096} {
-			s := newServer(cacheSize, shards)
-			h := s.Handler()
-			bodies := make([]string, len(checkPaths))
-			for i, p := range checkPaths {
-				code, body := hit(h, http.MethodGet, p)
-				if code != http.StatusOK {
-					fatal(fmt.Errorf("identity check: %s -> %d %s", p, code, body))
-				}
-				bodies[i] = body
+	for _, cacheSize := range []int{0, 4096} {
+		s := newServer(cacheSize)
+		h := s.Handler()
+		bodies := make([]string, len(checkPaths))
+		for i, p := range checkPaths {
+			code, body := hit(h, http.MethodGet, p)
+			if code != http.StatusOK {
+				fatal(fmt.Errorf("identity check: %s -> %d %s", p, code, body))
 			}
-			if want == nil {
-				want = bodies
-				continue
-			}
-			for i := range bodies {
-				if bodies[i] != want[i] {
-					rep.BytesIdentity = false
-					fmt.Fprintf(os.Stderr, "benchserve: MISMATCH shards=%d cache=%d %s:\n  %q\n  %q\n",
-						shards, cacheSize, checkPaths[i], bodies[i], want[i])
-				}
+			bodies[i] = body
+		}
+		if want == nil {
+			want = bodies
+			continue
+		}
+		for i := range bodies {
+			if bodies[i] != want[i] {
+				rep.BytesIdentity = false
+				fmt.Fprintf(os.Stderr, "benchserve: MISMATCH cache=%d %s:\n  %q\n  %q\n",
+					cacheSize, checkPaths[i], bodies[i], want[i])
 			}
 		}
 	}
@@ -259,7 +257,7 @@ func main() {
 
 	switch {
 	case !rep.BytesIdentity:
-		fatal(fmt.Errorf("response bodies diverged across cache/shard configurations"))
+		fatal(fmt.Errorf("response bodies diverged with the cache on and off"))
 	case rep.CacheSpeedup < *minSpeedup:
 		fatal(fmt.Errorf("cache speedup %.2fx below the %.1fx floor", rep.CacheSpeedup, *minSpeedup))
 	case rep.Overload.Shed429 == 0:

@@ -980,8 +980,9 @@ func main() {
 		}
 
 		// Merge-query latency: repeated battery sweeps against the sharded
-		// frontend, each request timed individually. Every query merges the
-		// requested nodes' per-shard sketches at answer time.
+		// frontend, each request timed individually. The first sweep merges
+		// the requested nodes' per-shard sketches at answer time; the later
+		// ones are served from the frontend's result cache.
 		var qlat []time.Duration
 		for sweep := 0; sweep < 40; sweep++ {
 			for _, q := range battery {

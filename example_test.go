@@ -61,7 +61,7 @@ func ExampleReadApproxIRS() {
 
 func ExampleNewQueryServer() {
 	// Serve the summaries through the query layer: admission control, a
-	// result cache, and a live-reloadable sharded store behind plain
+	// result cache, and a live-reloadable snapshot behind plain
 	// http.Handler routes. The second request is served from the cache —
 	// byte-identical to the first, with the seed set canonicalized
 	// (sorted, deduplicated) in both.

@@ -285,14 +285,13 @@ type engine interface {
 }
 
 // app owns the intake→serving pair and the routes that expose them.
-// Exactly one of srv (single-node) or fe (cluster) is set; ing is the
-// raw single-node ingester (nil in cluster mode), the handle a
-// replication primary attaches to.
+// srv serves the single node's snapshots or, in cluster mode, the merged
+// view over the shards; ing is the raw single-node ingester (nil in
+// cluster mode), the handle a replication primary attaches to.
 type app struct {
 	in  engine
 	ing *ipin.Ingester
 	srv *ipin.QueryServer
-	fe  *ipin.ClusterFrontend
 	reg *ipin.MetricsRegistry
 	tr  *ipin.Tracer
 	jr  *ipin.TraceJournal
@@ -321,8 +320,8 @@ func newApp(cfg appConfig) (*app, error) {
 		if err != nil {
 			return nil, err
 		}
-		fe := ipin.NewClusterFrontend(cl.Gather())
-		return &app{in: cl, fe: fe, reg: cfg.registry, jr: cfg.journal}, nil
+		srv := ipin.NewClusterFrontend(cl.Gather())
+		return &app{in: cl, srv: srv, reg: cfg.registry, jr: cfg.journal}, nil
 	}
 	// The tracer is shared: the ingester stamps intake through publish,
 	// the query server stamps serve-visible at its generation swap — the
@@ -353,16 +352,6 @@ func newApp(cfg appConfig) (*app, error) {
 	return &app{in: in, ing: in, srv: srv, reg: cfg.registry, tr: cfg.tracer, jr: cfg.journal}, nil
 }
 
-// generation is the served checkpoint generation: the query server's
-// swap counter in single-node mode, the total shard publish count in
-// cluster mode.
-func (a *app) generation() uint64 {
-	if a.fe != nil {
-		return a.fe.Generation()
-	}
-	return a.srv.Generation()
-}
-
 // health builds the /debug/pipeline handler: trace and SLO state, the
 // lifecycle event tail, and the ingester's live status (watermark lag,
 // disk footprint) plus the served generation.
@@ -372,7 +361,7 @@ func (a *app) health() http.Handler {
 		Journal: a.jr,
 		Status: func() map[string]any {
 			st := a.in.Health()
-			st["generation"] = a.generation()
+			st["generation"] = a.srv.Generation()
 			return st
 		},
 	}
@@ -381,21 +370,14 @@ func (a *app) health() http.Handler {
 // handler mounts the query surface next to the intake surface.
 func (a *app) handler() http.Handler {
 	mux := http.NewServeMux()
-	var routes []string
-	if a.fe != nil {
-		a.fe.Register(mux)
-		routes = a.fe.Routes()
-	} else {
-		a.srv.Register(mux)
-		routes = a.srv.Routes()
-	}
+	a.srv.Register(mux)
 	mux.Handle("/ingest", a.in.Handler())
 	mux.HandleFunc("/admin/checkpoint", a.forceCheckpoint)
 	mux.HandleFunc("/stream/stats", a.streamStats)
 	mux.HandleFunc("/stream/topk", a.streamTopK)
 	mux.Handle("/metrics", ipin.MetricsHandler(a.reg))
 	mux.Handle("/debug/pipeline", a.health())
-	routes = append(routes, "/ingest", "/stream/stats", "/stream/topk")
+	routes := append(a.srv.Routes(), "/ingest", "/stream/stats", "/stream/topk")
 	return ipin.InstrumentHTTP(a.reg, routes, mux)
 }
 
@@ -412,11 +394,11 @@ func (a *app) forceCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeErrorJSON(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"generation": a.generation(), "stats": a.in.Stats()})
+	writeJSON(w, map[string]any{"generation": a.srv.Generation(), "stats": a.in.Stats()})
 }
 
 func (a *app) streamStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"generation": a.generation(), "stats": a.in.Stats()})
+	writeJSON(w, map[string]any{"generation": a.srv.Generation(), "stats": a.in.Stats()})
 }
 
 // streamTopK serves the continuously-maintained top-k influencer view

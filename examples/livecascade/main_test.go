@@ -342,13 +342,25 @@ func TestClusterModeServesMergedQueries(t *testing.T) {
 		t.Fatalf("checkpoint: %d %s", code, body)
 	}
 
+	// Each query twice: the second answer comes from the result cache
+	// and must still match the offline bytes.
 	offline := offlineServer(t, edges, 200, omega)
 	for _, q := range []string{"/influence?node=3", "/spread?seeds=0,1,2", "/topk?k=3", "/stats"} {
-		liveCode, live := get(t, ts, q)
-		offCode, off := get(t, offline, q)
-		if liveCode != offCode || live != off {
-			t.Fatalf("%s:\n cluster %d %s offline %d %s", q, liveCode, live, offCode, off)
+		for pass := 0; pass < 2; pass++ {
+			liveCode, live := get(t, ts, q)
+			offCode, off := get(t, offline, q)
+			if liveCode != offCode || live != off {
+				t.Fatalf("%s (pass %d):\n cluster %d %s offline %d %s", q, pass, liveCode, live, offCode, off)
+			}
 		}
+	}
+	// Sharded serving is observable: the cache hits moved and the
+	// admission queue is exported.
+	if hits, ok := reg.Snapshot()["serve_cache_hits_total"].(int64); !ok || hits < 4 {
+		t.Fatalf("serve_cache_hits_total = %v after four repeated queries, want >= 4", hits)
+	}
+	if _, metrics := get(t, ts, "/metrics"); !strings.Contains(metrics, "\nserve_queue_depth ") {
+		t.Fatalf("/metrics exports no serve_queue_depth:\n%s", metrics)
 	}
 
 	code, body := get(t, ts, "/cluster/stats")

@@ -7,8 +7,8 @@
 // (internal/serve, via the ipin facade): queries flow through admission
 // control (bounded concurrency, bounded wait queue, per-request
 // deadlines, 429/503 load shedding), a bounded LRU result cache with
-// single-flight deduplication, and a sharded summary store that reloads
-// snapshots atomically under live traffic. Every route is wrapped in
+// single-flight deduplication, and an immutable snapshot per request
+// that reloads swap atomically under live traffic. Every route is wrapped in
 // telemetry middleware and the process shuts down gracefully so the
 // in-flight gauge drains to zero.
 //
@@ -75,7 +75,6 @@ func main() {
 		windowPct   = flag.Float64("window", 10, "window as % of the time span")
 		parallelism = flag.Int("parallelism", 0, "workers for the startup scan and collapse (0 = GOMAXPROCS)")
 		snapshot    = flag.String("snapshot", "", "serve this IRX1 summary file (cmd/irs -save) instead of generating a dataset; reloadable via SIGHUP or POST /admin/reload")
-		shards      = flag.Int("shards", 0, "summary-table shards (0 = library default)")
 		cacheSize   = flag.Int("cache-size", 4096, "result-cache entries; 0 disables caching")
 		maxInflight = flag.Int("max-inflight", 0, "queries computing concurrently (0 = library default, negative disables admission control)")
 		queueDepth  = flag.Int("queue-depth", 0, "bounded wait queue for admission (0 = 2×max-inflight)")
@@ -90,7 +89,6 @@ func main() {
 	reg.PublishExpvar("ipin")
 
 	srv := ipin.NewQueryServer(ipin.ServeConfig{
-		Shards:         *shards,
 		CacheSize:      *cacheSize,
 		MaxInflight:    *maxInflight,
 		QueueDepth:     *queueDepth,

@@ -1,212 +1,52 @@
 package cluster
 
 import (
+	"encoding/json"
 	"net/http"
-	"strconv"
 
-	"ipin/internal/core"
-	"ipin/internal/graph"
 	"ipin/internal/serve"
 )
 
-// Frontend is the merged HTTP query surface over a Gather: the same
-// routes, parameter handling, response bodies, and error shapes as the
-// single-node query server (internal/serve), answered by query-time
-// scatter-gather over the per-shard tables instead of one table. When
-// the routing identity holds (package comment), the bytes on the wire
-// are identical to a single-node server fed the whole stream — the
-// property the frontend tests assert against a real serve.Server.
+// frontendCacheSize bounds the frontend's result cache in rendered
+// bodies, the size a single-node live deployment (examples/livecascade)
+// uses.
+const frontendCacheSize = 1024
+
+// NewFrontend returns the merged HTTP query surface over g: the
+// single-node query server (internal/serve), with its result cache and
+// default admission control, answering each request from one consistent
+// View of the per-shard tables and keying the cache on the cluster
+// generation. When the routing identity holds (package comment), the
+// bytes on the wire are identical to a single-node server fed the whole
+// stream — the property the identity tests assert against a real one.
+// Queries answer 503 until the first shard checkpoint publishes.
 //
-// Beyond the serve routes it adds GET /cluster/stats: the per-shard
-// checkpoint generation vector and its skew, the operator's view of
-// which shard is behind.
-type Frontend struct {
-	g  *Gather
-	mx *metrics
+// Beyond the single-node routes it serves GET /cluster/stats: the
+// per-shard checkpoint generation vector and its skew, the operator's
+// view of which shard is behind.
+func NewFrontend(g *Gather) *serve.Server {
+	s := serve.NewOver(serve.Config{CacheSize: frontendCacheSize, Registry: g.mx.reg}, g.current)
+	s.Handle("/cluster/stats", g.serveStats)
+	return s
 }
 
-// NewFrontend returns the query surface over g. Queries answer 503
-// until the first shard checkpoint publishes.
-func NewFrontend(g *Gather) *Frontend { return &Frontend{g: g, mx: g.mx} }
-
-// Routes returns the URL paths Register installs — the single-node
-// query routes (minus /admin/reload, which has no cluster meaning:
-// shards publish their own checkpoints) plus /cluster/stats.
-func (f *Frontend) Routes() []string {
-	return []string{"/influence", "/spread", "/topk", "/spreadby", "/spreadwindow", "/stats", "/cluster/stats"}
-}
-
-// Register installs the query routes on mux.
-func (f *Frontend) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/influence", f.influence)
-	mux.HandleFunc("/spread", f.spread)
-	mux.HandleFunc("/topk", f.topk)
-	mux.HandleFunc("/spreadby", f.spreadBy)
-	mux.HandleFunc("/spreadwindow", f.spreadWindow)
-	mux.HandleFunc("/stats", f.stats)
-	mux.HandleFunc("/cluster/stats", f.clusterStats)
-}
-
-// Handler returns a standalone handler with the routes registered.
-func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	f.Register(mux)
-	return mux
-}
-
-// Generation returns the cluster generation (total shard publishes) —
-// the monotone counter response caches and WaitGeneration-style logic
-// key on in single-node deployments.
-func (f *Frontend) Generation() uint64 { return f.g.Generation() }
-
-// write renders v exactly as the single-node routes do.
-func (f *Frontend) write(w http.ResponseWriter, v any) {
-	body, err := serve.MarshalBody(v)
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-}
-
-func (f *Frontend) influence(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
+// current is the frontend's view source: a consistent View once any
+// shard has published, nil (503) before.
+func (g *Gather) current() serve.View {
+	v := g.View()
 	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
+		return nil
 	}
-	u, err := serve.ParseNode(r.URL.Query().Get("node"), v.NumNodes())
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	f.mx.mergeQueries.Inc()
-	f.write(w, map[string]any{"node": u, "influence": v.Influence(u)})
+	return v
 }
 
-func (f *Frontend) spread(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
-	}
-	seeds, err := serve.ParseSeeds(r.URL.Query().Get("seeds"), v.NumNodes())
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	f.mx.mergeQueries.Inc()
-	f.write(w, map[string]any{"seeds": seeds, "spread": v.Spread(seeds)})
-}
-
-func (f *Frontend) topk(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
-	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k < 1 || k > v.NumNodes() {
-		serve.WriteError(w, serve.BadParam("bad k parameter"))
-		return
-	}
-	merged, err := f.g.Merged(v)
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	f.mx.mergeQueries.Inc()
-	seeds := core.TopKApproxSeeds(merged, k)
-	f.write(w, map[string]any{"seeds": seeds, "spread": v.Spread(seeds)})
-}
-
-func (f *Frontend) spreadBy(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
-	}
-	seeds, err := serve.ParseSeeds(r.URL.Query().Get("seeds"), v.NumNodes())
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	deadline, err := strconv.ParseInt(r.URL.Query().Get("deadline"), 10, 64)
-	if err != nil {
-		serve.WriteError(w, serve.BadParam("bad deadline parameter"))
-		return
-	}
-	f.mx.mergeQueries.Inc()
-	f.write(w, map[string]any{
-		"seeds":    seeds,
-		"deadline": deadline,
-		"spread":   v.SpreadBy(seeds, graph.Time(deadline)),
-	})
-}
-
-func (f *Frontend) spreadWindow(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
-	}
-	seeds, err := serve.ParseSeeds(r.URL.Query().Get("seeds"), v.NumNodes())
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	at, err := strconv.ParseInt(r.URL.Query().Get("at"), 10, 64)
-	if err != nil {
-		serve.WriteError(w, serve.BadParam("bad at parameter"))
-		return
-	}
-	horizon := v.Omega()
-	if raw := r.URL.Query().Get("horizon"); raw != "" {
-		horizon, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil || horizon < 1 {
-			serve.WriteError(w, serve.BadParam("bad horizon parameter"))
-			return
-		}
-	}
-	f.mx.mergeQueries.Inc()
-	f.write(w, map[string]any{
-		"seeds":   seeds,
-		"at":      at,
-		"horizon": horizon,
-		"spread":  v.SpreadWindow(seeds, at, horizon),
-	})
-}
-
-// stats serves the single-node /stats body computed over the merged
-// summaries, so the numbers describe what queries actually see.
-func (f *Frontend) stats(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	if !v.Ready() {
-		serve.WriteError(w, serve.ErrNoSnapshot())
-		return
-	}
-	merged, err := f.g.Merged(v)
-	if err != nil {
-		serve.WriteError(w, err)
-		return
-	}
-	f.write(w, map[string]any{
-		"kind":          "approx",
-		"nodes":         merged.NumNodes(),
-		"omega":         merged.Omega,
-		"precision":     merged.Precision,
-		"entries":       merged.EntryCount(),
-		"summary_bytes": merged.MemoryBytes(),
-	})
-}
-
-// clusterStats serves the topology/staleness document: how many shards,
+// serveStats serves the topology/staleness document: how many shards,
 // each shard's publish generation, and the skew between the most- and
 // least-advanced shard — the number to alarm on when one shard lags.
-func (f *Frontend) clusterStats(w http.ResponseWriter, r *http.Request) {
-	v := f.g.View()
-	f.write(w, map[string]any{
+func (g *Gather) serveStats(w http.ResponseWriter, _ *http.Request) {
+	v := g.View()
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(map[string]any{
 		"shards":          len(v.gens),
 		"ready":           v.Ready(),
 		"generation":      v.Generation(),

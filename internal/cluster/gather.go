@@ -6,6 +6,7 @@ import (
 	"ipin/internal/core"
 	"ipin/internal/graph"
 	"ipin/internal/hll"
+	"ipin/internal/serve"
 	"ipin/internal/vhll"
 )
 
@@ -91,12 +92,12 @@ func (g *Gather) ResumeGeneration(i int, gen uint64) {
 func (g *Gather) View() View {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	v := View{
+	return View{
+		g:     g,
 		parts: append([]*core.ApproxSummaries(nil), g.parts...),
 		gens:  append([]uint64(nil), g.gens...),
 		total: g.total,
 	}
-	return v
 }
 
 // Generation returns the cluster generation: total checkpoint publishes
@@ -134,11 +135,13 @@ func (g *Gather) Merged(v View) (*core.ApproxSummaries, error) {
 	return m, nil
 }
 
-// View is one consistent scatter-gather snapshot; its methods replicate
-// the single-node serving math (internal/serve store) over the merged
-// per-node sketches, so answers are byte-identical to a single-node run
-// whenever the routing identity holds (see the package comment).
+// View is one consistent scatter-gather snapshot and the serve.View the
+// frontend answers from; its methods replicate the single-node serving
+// math (internal/serve) over the merged per-node sketches, so answers
+// are byte-identical to a single-node run whenever the routing identity
+// holds (see the package comment).
 type View struct {
+	g     *Gather // memoizes the merged table TopK and Stats read
 	parts []*core.ApproxSummaries
 	gens  []uint64
 	total uint64
@@ -202,6 +205,7 @@ func (v View) Sketch(u graph.NodeID) *vhll.Sketch {
 
 // Influence estimates |σω(u)| from u's merged sketch.
 func (v View) Influence(u graph.NodeID) float64 {
+	v.g.mx.mergeQueries.Inc()
 	sk := v.Sketch(u)
 	if sk == nil {
 		return 0
@@ -213,6 +217,7 @@ func (v View) Influence(u graph.NodeID) float64 {
 // sketches are unioned, collapsed, and folded into one HLL in seed
 // order — the exact operation order of the single-node store.
 func (v View) Spread(seeds []graph.NodeID) float64 {
+	v.g.mx.mergeQueries.Inc()
 	if !v.Ready() {
 		return 0
 	}
@@ -229,6 +234,7 @@ func (v View) Spread(seeds []graph.NodeID) float64 {
 // SpreadBy estimates the deadline-bounded spread (channels ending at or
 // before deadline), mirroring ApproxSummaries.SpreadByEstimate.
 func (v View) SpreadBy(seeds []graph.NodeID, deadline graph.Time) float64 {
+	v.g.mx.mergeQueries.Inc()
 	if !v.Ready() {
 		return 0
 	}
@@ -243,10 +249,12 @@ func (v View) SpreadBy(seeds []graph.NodeID, deadline graph.Time) float64 {
 
 // SpreadWindow estimates the spread counting only nodes first influenced
 // inside [at, at+horizon−1], mirroring
-// ApproxSummaries.SpreadEstimateWindow.
-func (v View) SpreadWindow(seeds []graph.NodeID, at, horizon int64) float64 {
+// ApproxSummaries.SpreadEstimateWindow. Shards publish sketched
+// summaries only, so it never fails.
+func (v View) SpreadWindow(seeds []graph.NodeID, at, horizon int64) (float64, error) {
+	v.g.mx.mergeQueries.Inc()
 	if !v.Ready() {
-		return 0
+		return 0, nil
 	}
 	union := hll.MustNew(v.Precision())
 	for _, u := range seeds {
@@ -254,7 +262,26 @@ func (v View) SpreadWindow(seeds []graph.NodeID, at, horizon int64) float64 {
 			_ = union.Merge(sk.CollapseWindow(at, horizon))
 		}
 	}
-	return union.Estimate()
+	return union.Estimate(), nil
+}
+
+// TopK selects k seeds greedily on the view's merged summaries.
+func (v View) TopK(k int) ([]graph.NodeID, error) {
+	merged, err := v.g.Merged(v)
+	if err != nil {
+		return nil, err
+	}
+	return core.TopKApproxSeeds(merged, k), nil
+}
+
+// Stats describes the view's merged summaries, so the numbers describe
+// what queries actually see.
+func (v View) Stats() (serve.Stats, error) {
+	merged, err := v.g.Merged(v)
+	if err != nil {
+		return serve.Stats{}, err
+	}
+	return serve.ApproxStats(merged), nil
 }
 
 // generationSkew returns max−min over the vector, 0 when empty.

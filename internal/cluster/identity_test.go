@@ -207,7 +207,10 @@ func TestScatterGatherIdentity(t *testing.T) {
 			singleIn, srv := startSingle(t, edges)
 			c := startCluster(t, shards, nil, edges)
 
-			assertSameAnswers(t, "default map", singleHandler(srv), NewFrontend(c.Gather()).Handler())
+			// The second pass is served from the frontend's result cache.
+			fe := NewFrontend(c.Gather()).Handler()
+			assertSameAnswers(t, "default map", singleHandler(srv), fe)
+			assertSameAnswers(t, "default map, cached", singleHandler(srv), fe)
 
 			// The merged live top-k view: per-node scores are computed
 			// entirely from the owner's substream and every shard's
@@ -246,7 +249,9 @@ func TestScatterGatherIdentitySkewed(t *testing.T) {
 	edges := bipartite(testEdges, 2, slots, 0)
 	_, srv := startSingle(t, edges)
 	c := startCluster(t, shards, slots, edges)
-	assertSameAnswers(t, "skewed map", singleHandler(srv), NewFrontend(c.Gather()).Handler())
+	fe := NewFrontend(c.Gather()).Handler()
+	assertSameAnswers(t, "skewed map", singleHandler(srv), fe)
+	assertSameAnswers(t, "skewed map, cached", singleHandler(srv), fe)
 }
 
 // TestOwnerSubstreamIdentity pins the normative per-shard guarantee on a

@@ -27,6 +27,7 @@ const (
 // metrics bundles the cluster instruments. Built over a nil registry
 // every field is a nil no-op, preserving obs's zero-cost contract.
 type metrics struct {
+	reg          *obs.Registry // the frontend's serving metrics go here too
 	routed       *obs.Counter
 	parseErrors  *obs.Counter
 	checkpoints  *obs.Counter
@@ -40,12 +41,13 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry, shards int) *metrics {
 	m := &metrics{
+		reg:          reg,
 		routed:       reg.Counter(MetricRouted, "Edges routed to a shard by source-node slot."),
 		parseErrors:  reg.Counter(MetricParseErrors, "Malformed edge lines skipped by the cluster intake."),
 		checkpoints:  reg.Counter(MetricCheckpoints, "Forced all-shard checkpoint rounds completed."),
 		publishes:    reg.Counter(MetricPublishes, "Per-shard checkpoint publishes received by the gather store."),
 		mergeBuilds:  reg.Counter(MetricMergeBuilds, "Merged summary rebuilds (one per changed generation vector)."),
-		mergeQueries: reg.Counter(MetricMergeQueries, "Scatter-gather queries answered from per-shard tables."),
+		mergeQueries: reg.Counter(MetricMergeQueries, "Queries answered by merging per-shard sketches at query time (result-cache misses)."),
 		genSkew:      reg.Gauge(MetricGenSkew, "Difference between the most- and least-advanced shard checkpoint generations."),
 		shardEdges:   make([]*obs.Counter, shards),
 		shardGen:     make([]*obs.Gauge, shards),

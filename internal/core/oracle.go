@@ -56,11 +56,6 @@ func NewApproxOracle(s *ApproxSummaries) *ApproxOracle {
 // NumNodes implements Oracle.
 func (o *ApproxOracle) NumNodes() int { return len(o.collapsed) }
 
-// Collapsed returns u's collapsed sketch, nil when σω(u) is empty. The
-// serving layer's sharded store is built from these, reusing the oracle's
-// parallel collapse instead of re-collapsing per shard.
-func (o *ApproxOracle) Collapsed(u graph.NodeID) *hll.Sketch { return o.collapsed[u] }
-
 // InfluenceSize implements Oracle.
 func (o *ApproxOracle) InfluenceSize(u graph.NodeID) float64 {
 	if o.collapsed[u] == nil {

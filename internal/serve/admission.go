@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+	"time"
 )
 
 // Limiter errors, mapped to load-shedding statuses by Server.shed.
@@ -36,25 +37,34 @@ func newLimiter(maxInflight, queueDepth int, mx *metrics) *limiter {
 	}
 }
 
-// acquire obtains an inflight slot, queueing up to the depth bound while
-// ctx lasts. It returns errQueueFull or errDeadline when the request
-// should be shed instead.
-func (l *limiter) acquire(ctx context.Context) error {
+// acquire obtains an inflight slot, queueing up to the depth bound until
+// ctx ends or the deadline passes. It returns errQueueFull or
+// errDeadline when the request should be shed instead.
+func (l *limiter) acquire(ctx context.Context, deadline time.Time) error {
 	select {
 	case l.slots <- struct{}{}:
 		return nil
 	default:
 	}
-	w := l.waiting.Add(1)
-	if w > l.depth {
-		l.mx.queueDepth.Set(l.waiting.Add(-1))
-		l.mx.shedQueueFull.Inc()
-		return errQueueFull
+	// Claim a queue place only while one is free, so the depth never
+	// reads above its bound, not even for an instant.
+	w := l.waiting.Load()
+	for {
+		if w >= l.depth {
+			l.mx.shedQueueFull.Inc()
+			return errQueueFull
+		}
+		if l.waiting.CompareAndSwap(w, w+1) {
+			break
+		}
+		w = l.waiting.Load()
 	}
-	l.mx.queueDepth.Set(w)
+	l.mx.queueDepth.Set(w + 1)
 	defer func() {
 		l.mx.queueDepth.Set(l.waiting.Add(-1))
 	}()
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
 	select {
 	case l.slots <- struct{}{}:
 		return nil

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"time"
 )
 
 // cache is a bounded LRU over rendered response bodies with single-flight
@@ -40,9 +41,9 @@ func newCache(max int, mx *metrics) *cache {
 
 // do returns the body for key, computing it with fn on a miss. Identical
 // concurrent misses compute once; followers wait for the leader or give
-// up when ctx expires. Errors are never cached: the failed entry is
-// removed so the next request retries.
-func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, error) {
+// up when ctx ends or the deadline passes. Errors are never cached: the
+// failed entry is removed so the next request retries.
+func (c *cache) do(ctx context.Context, deadline time.Time, key string, fn func() ([]byte, error)) ([]byte, error) {
 	c.mu.Lock()
 	if el, ok := c.idx[key]; ok {
 		e := el.Value.(*entry)
@@ -53,6 +54,8 @@ func (c *cache) do(ctx context.Context, key string, fn func() ([]byte, error)) (
 		default:
 			// Leader still computing: this request shares its result.
 			c.mx.shared.Inc()
+			ctx, cancel := context.WithDeadline(ctx, deadline)
+			defer cancel()
 			select {
 			case <-e.done:
 			case <-ctx.Done():

@@ -16,6 +16,9 @@ func testCache(max int, reg *obs.Registry) *cache {
 	return newCache(max, newMetrics(reg))
 }
 
+// later is a request deadline no test reaches.
+func later() time.Time { return time.Now().Add(time.Minute) }
+
 func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := testCache(2, reg)
@@ -24,7 +27,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, k := range []string{"a", "b", "c"} { // c evicts a
-		if _, err := c.do(ctx, k, val(k)); err != nil {
+		if _, err := c.do(ctx, later(), k, val(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +36,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// b then c are resident; a recomputes.
 	recomputed := false
-	if _, err := c.do(ctx, "a", func() ([]byte, error) { recomputed = true; return []byte("a"), nil }); err != nil {
+	if _, err := c.do(ctx, later(), "a", func() ([]byte, error) { recomputed = true; return []byte("a"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !recomputed {
@@ -45,7 +48,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// "a" re-inserted evicted "b"; "c" must still be a hit.
 	hit := true
-	if _, err := c.do(ctx, "c", func() ([]byte, error) { hit = false; return nil, nil }); err != nil {
+	if _, err := c.do(ctx, later(), "c", func() ([]byte, error) { hit = false; return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
@@ -67,7 +70,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, err := c.do(context.Background(), "k", func() ([]byte, error) {
+			body, err := c.do(context.Background(), later(), "k", func() ([]byte, error) {
 				computes.Add(1)
 				<-gate // hold every follower in the wait path
 				return []byte("body"), nil
@@ -96,15 +99,16 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheSingleFlightAbandon: a follower whose context expires leaves
-// without the result; the leader's entry stays valid for others.
+// TestCacheSingleFlightAbandon: a follower whose context expires, or
+// whose request deadline passes, leaves without the result; the
+// leader's entry stays valid for others.
 func TestCacheSingleFlightAbandon(t *testing.T) {
 	c := testCache(8, obs.NewRegistry())
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _ = c.do(context.Background(), "k", func() ([]byte, error) {
+		_, _ = c.do(context.Background(), later(), "k", func() ([]byte, error) {
 			<-gate
 			return []byte("late"), nil
 		})
@@ -115,12 +119,15 @@ func TestCacheSingleFlightAbandon(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := c.do(ctx, "k", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.do(ctx, later(), "k", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("abandoning follower: err = %v, want DeadlineExceeded", err)
+	}
+	if _, err := c.do(context.Background(), time.Now().Add(5*time.Millisecond), "k", nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower past its deadline: err = %v, want DeadlineExceeded", err)
 	}
 	close(gate)
 	<-leaderDone
-	body, err := c.do(context.Background(), "k", func() ([]byte, error) {
+	body, err := c.do(context.Background(), later(), "k", func() ([]byte, error) {
 		return nil, fmt.Errorf("should have been cached")
 	})
 	if err != nil || string(body) != "late" {
@@ -133,13 +140,13 @@ func TestCacheSingleFlightAbandon(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	c := testCache(8, obs.NewRegistry())
 	boom := errors.New("boom")
-	if _, err := c.do(context.Background(), "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.do(context.Background(), later(), "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if n := c.len(); n != 0 {
 		t.Fatalf("failed entry cached (%d entries)", n)
 	}
-	body, err := c.do(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
+	body, err := c.do(context.Background(), later(), "k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("retry after error: %q, %v", body, err)
 	}
@@ -149,7 +156,7 @@ func TestCachePurge(t *testing.T) {
 	c := testCache(8, obs.NewRegistry())
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		if _, err := c.do(ctx, fmt.Sprintf("k%d", i), func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+		if _, err := c.do(ctx, later(), fmt.Sprintf("k%d", i), func() ([]byte, error) { return []byte("v"), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

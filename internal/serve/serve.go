@@ -1,9 +1,13 @@
 // Package serve is the production-shaped query layer between computed IRS
 // summaries and HTTP: everything a process needs to keep answering
 // influence-oracle queries fast and predictably while snapshots reload
-// underneath it and traffic exceeds what the host can absorb.
+// underneath it and traffic exceeds what the host can absorb. It is the
+// only HTTP query layer: a single node serves its own snapshots through
+// it, and a cluster serves its scatter-gather view (internal/cluster).
 //
-// The layer has three independent mechanisms, composed in request order:
+// Every request is answered from one immutable View taken when it
+// starts — its generation, node range, cache key and body all come from
+// that one state. Three mechanisms compose in request order:
 //
 //   - Admission control (admission.go): a concurrency limiter with a
 //     bounded FIFO wait queue and per-request deadlines. Requests beyond
@@ -14,20 +18,17 @@
 //
 //   - A result cache (cache.go): a bounded LRU over fully rendered
 //     response bodies, keyed on the route, the canonicalized (sorted,
-//     deduplicated) seed set, and the snapshot generation, with
+//     deduplicated) parameters, and the view's generation, with
 //     single-flight deduplication — concurrent identical queries compute
 //     once and share the bytes. Because the cache stores the exact bytes
 //     a cold computation would produce, responses are byte-identical with
 //     the cache on or off.
 //
-//   - A sharded summary store (store.go): collapsed per-node sketches (or
-//     exact summary maps) spread across N shards with per-shard RWMutexes
-//     plus a seqlock-style generation counter, so concurrent queries
-//     proceed without a global lock and a live snapshot reload (SIGHUP or
-//     POST /admin/reload) swaps in the new table with only per-pointer
-//     write-lock pauses — the expensive decode and collapse work happens
-//     entirely off the read path. HyperLogLog union is a cell-wise
-//     maximum, so query answers are independent of the shard count.
+//   - The view (store.go): on a single node, one atomic pointer to an
+//     immutable snapshot. A reload (SIGHUP or POST /admin/reload) decodes
+//     and collapses the new summaries entirely off the read path, then
+//     swaps the pointer; requests in flight finish on the snapshot they
+//     took, and nothing on the read path takes a lock.
 //
 // All three are instrumented through internal/obs (cache hit/miss/
 // single-flight counters, shed counters by reason, queue-depth gauge,
@@ -49,10 +50,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipin/internal/graph"
@@ -63,9 +66,6 @@ import (
 // Config parameterizes a query server. The zero value is usable: defaults
 // fill in below, and a zero CacheSize simply disables the result cache.
 type Config struct {
-	// Shards is the number of summary-table shards; 0 selects
-	// DefaultShards. The shard count never affects query answers.
-	Shards int
 	// CacheSize bounds the result cache in entries; 0 disables caching
 	// (and with it single-flight deduplication).
 	CacheSize int
@@ -99,31 +99,55 @@ type Config struct {
 
 // Defaults for the zero Config.
 const (
-	DefaultShards         = 8
 	DefaultMaxInflight    = 64
 	DefaultRequestTimeout = 10 * time.Second
 )
 
-// Server is the query layer: a sharded snapshot store, an optional result
+// Server is the query layer: a source of views, an optional result
 // cache, and admission control, exposed as HTTP handlers.
 type Server struct {
-	cfg   Config
-	store *store
-	cache *cache   // nil when disabled
-	lim   *limiter // nil when disabled
-	mx    *metrics
+	cfg     Config
+	current func() View // the view a request starts on; nil = nothing loaded
+	extra   []extraRoute
+	cache   *cache   // nil when disabled
+	lim     *limiter // nil when disabled
+	mx      *metrics
+
+	// Own snapshots (New): loadMu orders installs so generations grow
+	// by one per install.
+	snap   atomic.Pointer[snapshot]
+	loadMu sync.Mutex
 	// genMu guards genCh, which is closed and replaced on every snapshot
 	// install; WaitGeneration blocks on it.
 	genMu sync.Mutex
 	genCh chan struct{}
 }
 
-// New returns a query server with no snapshot loaded; every query route
+// extraRoute is a route added with Handle.
+type extraRoute struct {
+	path string
+	h    http.HandlerFunc
+}
+
+// New returns a query server over its own snapshots; every query route
 // answers 503 until LoadExact, LoadApprox, or Reload installs one.
 func New(cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
+	s := NewOver(cfg, nil)
+	s.current = func() View {
+		if snap := s.snap.Load(); snap != nil {
+			return snap
+		}
+		return nil
 	}
+	return s
+}
+
+// NewOver returns a query server that answers each request from the view
+// current returns when the request starts; a nil view answers 503. The
+// views' generations key the cache, so they must grow whenever the
+// state does. Such a server holds no snapshots of its own: Load*,
+// Reload and WaitGeneration apply to servers from New.
+func NewOver(cfg Config, current func() View) *Server {
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
 	}
@@ -134,7 +158,7 @@ func New(cfg Config) *Server {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
 	mx := newMetrics(cfg.Registry)
-	s := &Server{cfg: cfg, store: newStore(cfg.Shards), mx: mx, genCh: make(chan struct{})}
+	s := &Server{cfg: cfg, current: current, mx: mx, genCh: make(chan struct{})}
 	if cfg.CacheSize > 0 {
 		s.cache = newCache(cfg.CacheSize, mx)
 	}
@@ -149,12 +173,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Generation returns the store generation: it starts at zero and grows
-// with every loaded snapshot, and response caching is keyed on it.
-func (s *Server) Generation() uint64 { return s.store.generation() }
+// Generation returns the generation of the view currently served, zero
+// before the first. Response caching is keyed on it.
+func (s *Server) Generation() uint64 {
+	if v := s.current(); v != nil {
+		return v.Generation()
+	}
+	return 0
+}
 
-// WaitGeneration blocks until the store generation reaches at least g or
-// ctx expires. It is how a caller that just handed summaries to a
+// WaitGeneration blocks until the served generation reaches at least g
+// or ctx expires. It is how a caller that just handed summaries to a
 // live-ingestion publisher waits for them to become queryable.
 func (s *Server) WaitGeneration(ctx context.Context, g uint64) error {
 	for {
@@ -183,23 +212,51 @@ func (s *Server) QueueDepthNow() int64 {
 	return s.lim.waiting.Load()
 }
 
+// Handle adds a route served beside the query routes and, like
+// /admin/reload, outside admission control — a deployment's own status
+// document, say. Call it before Register or Handler.
+func (s *Server) Handle(path string, h http.HandlerFunc) {
+	s.extra = append(s.extra, extraRoute{path, h})
+}
+
+// queryRoutes are the routes every view answers, by path.
+var queryRoutes = []struct {
+	path string
+	rt   route
+}{
+	{"/influence", influence},
+	{"/spread", spread},
+	{"/topk", topk},
+	{"/spreadby", spreadBy},
+	{"/spreadwindow", spreadWindow},
+	{"/stats", stats},
+}
+
 // Routes returns the URL paths Register installs, the closed set an
 // obs.Middleware wrapper should track individually.
 func (s *Server) Routes() []string {
-	return []string{"/influence", "/spread", "/topk", "/spreadby", "/spreadwindow", "/stats", "/admin/reload"}
+	var routes []string
+	for _, q := range queryRoutes {
+		routes = append(routes, q.path)
+	}
+	routes = append(routes, "/admin/reload")
+	for _, e := range s.extra {
+		routes = append(routes, e.path)
+	}
+	return routes
 }
 
 // Register installs the query routes on mux. Query routes pass through
-// admission control; /admin/reload does not, so operators keep control
-// of an overloaded server.
+// admission control; /admin/reload and routes added with Handle do not,
+// so operators keep control of an overloaded server.
 func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/influence", s.admit(s.influence))
-	mux.HandleFunc("/spread", s.admit(s.spread))
-	mux.HandleFunc("/topk", s.admit(s.topk))
-	mux.HandleFunc("/spreadby", s.admit(s.spreadBy))
-	mux.HandleFunc("/spreadwindow", s.admit(s.spreadWindow))
-	mux.HandleFunc("/stats", s.admit(s.stats))
+	for _, q := range queryRoutes {
+		mux.HandleFunc(q.path, s.query(q.path, q.rt))
+	}
 	mux.HandleFunc("/admin/reload", s.reload)
+	for _, e := range s.extra {
+		mux.HandleFunc(e.path, e.h)
+	}
 }
 
 // Handler returns the standalone handler: the registered routes wrapped
@@ -224,23 +281,11 @@ func badParam(format string, args ...any) error {
 
 var errNoSnapshot = &requestError{status: http.StatusServiceUnavailable, msg: "no snapshot loaded"}
 
-// admit wraps a query handler with the per-request deadline and the
-// concurrency limiter, shedding with 429 (queue full) or 503 (deadline
-// spent in queue) before the handler runs.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		if s.lim != nil {
-			if err := s.lim.acquire(ctx); err != nil {
-				s.shed(w, err)
-				return
-			}
-			defer s.lim.release()
-		}
-		h(w, r)
-	}
+// errWindowNeedsApprox is the /spreadwindow answer on an exact snapshot:
+// the request is well-formed but conflicts with the loaded summary kind.
+var errWindowNeedsApprox = &requestError{
+	status: http.StatusConflict,
+	msg:    "window queries require an approx snapshot",
 }
 
 // shed writes the load-shedding response for a limiter error, with a
@@ -259,155 +304,141 @@ func (s *Server) shed(w http.ResponseWriter, err error) {
 	writeError(w, &requestError{status: status, msg: err.Error()})
 }
 
-// answer runs the cached-query protocol: resolve the current generation,
-// look the canonical key up in the cache (computing once under
-// single-flight on a miss), and write the stored bytes. With the cache
-// disabled it computes directly — the bytes are identical either way.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, compute func() (any, error)) {
-	render := func() ([]byte, error) {
-		v, err := compute()
+// route parses one request against view v. It returns the cache-key
+// fragment of its canonical parameters and the computation of its body,
+// both drawn from v alone.
+type route func(v View, q url.Values) (key string, body func() (any, error), err error)
+
+// query wraps a route in the serving protocol: the per-request deadline
+// and the concurrency limiter (shedding with 429 or 503 before anything
+// runs), then one view for the whole request. The canonical key, under
+// the route path and the view's generation, is looked up in the cache
+// (computing once under single-flight on a miss), and the stored bytes
+// are written. With the cache disabled the body is computed directly —
+// the bytes are identical either way.
+func (s *Server) query(path string, rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// The deadline's timer is armed only where a request blocks — in
+		// the wait queue or behind an identical in-flight query. Arming
+		// one on every request added about 10 µs to each request after
+		// an idle pause on a 2-vCPU VM, cache hits included.
+		ctx, deadline := r.Context(), time.Now().Add(s.cfg.RequestTimeout)
+		if s.lim != nil {
+			if err := s.lim.acquire(ctx, deadline); err != nil {
+				s.shed(w, err)
+				return
+			}
+			defer s.lim.release()
+		}
+		v := s.current()
+		if v == nil {
+			writeError(w, errNoSnapshot)
+			return
+		}
+		key, compute, err := rt(v, r.URL.Query())
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		render := func() ([]byte, error) {
+			body, err := compute()
+			if err != nil {
+				return nil, err
+			}
+			return marshalBody(body)
+		}
+		var body []byte
+		if s.cache != nil {
+			body, err = s.cache.do(ctx, deadline, fmt.Sprintf("%s|%d|%s", path, v.Generation(), key), render)
+		} else {
+			body, err = render()
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
+	}
+}
+
+func influence(v View, q url.Values) (string, func() (any, error), error) {
+	u, err := parseNode(q.Get("node"), v.NumNodes())
+	if err != nil {
+		return "", nil, err
+	}
+	return strconv.Itoa(int(u)), func() (any, error) {
+		return map[string]any{"node": u, "influence": v.Influence(u)}, nil
+	}, nil
+}
+
+func spread(v View, q url.Values) (string, func() (any, error), error) {
+	seeds, err := parseSeeds(q.Get("seeds"), v.NumNodes())
+	if err != nil {
+		return "", nil, err
+	}
+	return seedKey(seeds), func() (any, error) {
+		return map[string]any{"seeds": seeds, "spread": v.Spread(seeds)}, nil
+	}, nil
+}
+
+// topk answers the greedy seeds with their spread, both from one view.
+func topk(v View, q url.Values) (string, func() (any, error), error) {
+	k, err := strconv.Atoi(q.Get("k"))
+	if err != nil || k < 1 || k > v.NumNodes() {
+		return "", nil, badParam("bad k parameter")
+	}
+	return strconv.Itoa(k), func() (any, error) {
+		seeds, err := v.TopK(k)
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(v)
-	}
-	var (
-		body []byte
-		err  error
-	)
-	if s.cache != nil {
-		body, err = s.cache.do(r.Context(), key, render)
-	} else {
-		body, err = render()
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+		return map[string]any{"seeds": seeds, "spread": v.Spread(seeds)}, nil
+	}, nil
 }
 
-func (s *Server) influence(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	u, err := parseNode(r.URL.Query().Get("node"), snap.numNodes)
+func spreadBy(v View, q url.Values) (string, func() (any, error), error) {
+	seeds, err := parseSeeds(q.Get("seeds"), v.NumNodes())
 	if err != nil {
-		writeError(w, err)
-		return
+		return "", nil, err
 	}
-	key := fmt.Sprintf("influence|%d|%d", snap.gen, u)
-	s.answer(w, r, key, func() (any, error) {
-		return map[string]any{"node": u, "influence": s.store.influence(u)}, nil
-	})
-}
-
-func (s *Server) spread(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	seeds, err := parseSeeds(r.URL.Query().Get("seeds"), snap.numNodes)
+	deadline, err := strconv.ParseInt(q.Get("deadline"), 10, 64)
 	if err != nil {
-		writeError(w, err)
-		return
+		return "", nil, badParam("bad deadline parameter")
 	}
-	key := fmt.Sprintf("spread|%d|%s", snap.gen, seedKey(seeds))
-	s.answer(w, r, key, func() (any, error) {
-		return map[string]any{"seeds": seeds, "spread": s.store.spread(seeds)}, nil
-	})
-}
-
-func (s *Server) topk(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k < 1 || k > snap.numNodes {
-		writeError(w, badParam("bad k parameter"))
-		return
-	}
-	key := fmt.Sprintf("topk|%d|%d", snap.gen, k)
-	s.answer(w, r, key, func() (any, error) {
-		seeds := snap.topK(k)
-		return map[string]any{"seeds": seeds, "spread": s.store.spread(seeds)}, nil
-	})
-}
-
-func (s *Server) spreadBy(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	seeds, err := parseSeeds(r.URL.Query().Get("seeds"), snap.numNodes)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	deadline, err := strconv.ParseInt(r.URL.Query().Get("deadline"), 10, 64)
-	if err != nil {
-		writeError(w, badParam("bad deadline parameter"))
-		return
-	}
-	key := fmt.Sprintf("spreadby|%d|%s|%d", snap.gen, seedKey(seeds), deadline)
-	s.answer(w, r, key, func() (any, error) {
+	return fmt.Sprintf("%s|%d", seedKey(seeds), deadline), func() (any, error) {
 		return map[string]any{
 			"seeds":    seeds,
 			"deadline": deadline,
-			"spread":   snap.spreadBy(seeds, graph.Time(deadline)),
+			"spread":   v.SpreadBy(seeds, graph.Time(deadline)),
 		}, nil
-	})
-}
-
-// errWindowNeedsApprox is the /spreadwindow answer on an exact snapshot:
-// the request is well-formed but conflicts with the loaded summary kind.
-var errWindowNeedsApprox = &requestError{
-	status: http.StatusConflict,
-	msg:    "window queries require an approx snapshot",
+	}, nil
 }
 
 // spreadWindow answers the jumping/sliding-window spread: the estimated
 // number of distinct nodes first influenced by the seed set inside
-// [at, at+horizon−1], with horizon defaulting to the snapshot's omega
-// (so a bare at gives one jumping-window position). Only approx
-// snapshots retain the versioned sketches this needs; on an exact
-// snapshot the route answers 409 Conflict.
-func (s *Server) spreadWindow(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	seeds, err := parseSeeds(r.URL.Query().Get("seeds"), snap.numNodes)
+// [at, at+horizon−1], with horizon defaulting to the view's omega (so a
+// bare at gives one jumping-window position).
+func spreadWindow(v View, q url.Values) (string, func() (any, error), error) {
+	seeds, err := parseSeeds(q.Get("seeds"), v.NumNodes())
 	if err != nil {
-		writeError(w, err)
-		return
+		return "", nil, err
 	}
-	at, err := strconv.ParseInt(r.URL.Query().Get("at"), 10, 64)
+	at, err := strconv.ParseInt(q.Get("at"), 10, 64)
 	if err != nil {
-		writeError(w, badParam("bad at parameter"))
-		return
+		return "", nil, badParam("bad at parameter")
 	}
-	horizon := snap.omega()
-	if raw := r.URL.Query().Get("horizon"); raw != "" {
+	horizon := v.Omega()
+	if raw := q.Get("horizon"); raw != "" {
 		horizon, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil || horizon < 1 {
-			writeError(w, badParam("bad horizon parameter"))
-			return
+			return "", nil, badParam("bad horizon parameter")
 		}
 	}
-	key := fmt.Sprintf("spreadwindow|%d|%s|%d|%d", snap.gen, seedKey(seeds), at, horizon)
-	s.answer(w, r, key, func() (any, error) {
-		spread, ok := snap.spreadWindow(seeds, at, horizon)
-		if !ok {
-			return nil, errWindowNeedsApprox
+	return fmt.Sprintf("%s|%d|%d", seedKey(seeds), at, horizon), func() (any, error) {
+		spread, err := v.SpreadWindow(seeds, at, horizon)
+		if err != nil {
+			return nil, err
 		}
 		return map[string]any{
 			"seeds":   seeds,
@@ -415,22 +446,11 @@ func (s *Server) spreadWindow(w http.ResponseWriter, r *http.Request) {
 			"horizon": horizon,
 			"spread":  spread,
 		}, nil
-	})
+	}, nil
 }
 
-func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.current()
-	if snap == nil {
-		writeError(w, errNoSnapshot)
-		return
-	}
-	body, err := marshalBody(snap.statsBody())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+func stats(v View, _ url.Values) (string, func() (any, error), error) {
+	return "", func() (any, error) { return v.Stats() }, nil
 }
 
 // reload re-reads the configured snapshot file and swaps it in. Exposed

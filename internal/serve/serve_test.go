@@ -126,9 +126,8 @@ func TestNoSnapshotIs503(t *testing.T) {
 }
 
 // TestByteIdentity pins the acceptance property: every query body is
-// byte-identical with the cache on or off and across shard counts, for
-// both summary kinds — and repeated queries (cache hits) return the same
-// bytes again.
+// byte-identical with the cache on or off, for both summary kinds — and
+// repeated queries (cache hits) return the same bytes again.
 func TestByteIdentity(t *testing.T) {
 	paths := []string{
 		"/influence?node=0",
@@ -142,33 +141,31 @@ func TestByteIdentity(t *testing.T) {
 	exact := core.ComputeExact(testLog(t), 500)
 	for _, kind := range []string{"approx", "exact"} {
 		var want map[string]string
-		for _, shards := range []int{1, 4} {
-			for _, cacheSize := range []int{0, 64} {
-				s := New(Config{Shards: shards, CacheSize: cacheSize})
-				if kind == "approx" {
-					s.LoadApprox(testApprox(t))
-				} else {
-					s.LoadExact(exact)
+		for _, cacheSize := range []int{0, 64} {
+			s := New(Config{CacheSize: cacheSize})
+			if kind == "approx" {
+				s.LoadApprox(testApprox(t))
+			} else {
+				s.LoadExact(exact)
+			}
+			h := s.Handler()
+			for round := 0; round < 2; round++ { // second round hits the cache
+				got := make(map[string]string, len(paths))
+				for _, p := range paths {
+					code, _, body := get(t, h, p)
+					if code != http.StatusOK {
+						t.Fatalf("%s %s: status %d (%s)", kind, p, code, body)
+					}
+					got[p] = body
 				}
-				h := s.Handler()
-				for round := 0; round < 2; round++ { // second round hits the cache
-					got := make(map[string]string, len(paths))
-					for _, p := range paths {
-						code, _, body := get(t, h, p)
-						if code != http.StatusOK {
-							t.Fatalf("%s %s: status %d (%s)", kind, p, code, body)
-						}
-						got[p] = body
-					}
-					if want == nil {
-						want = got
-						continue
-					}
-					for _, p := range paths {
-						if got[p] != want[p] {
-							t.Errorf("%s %s (shards=%d cache=%d round=%d): body %q != %q",
-								kind, p, shards, cacheSize, round, got[p], want[p])
-						}
+				if want == nil {
+					want = got
+					continue
+				}
+				for _, p := range paths {
+					if got[p] != want[p] {
+						t.Errorf("%s %s (cache=%d round=%d): body %q != %q",
+							kind, p, cacheSize, round, got[p], want[p])
 					}
 				}
 			}
@@ -258,7 +255,7 @@ func TestAdmissionControl(t *testing.T) {
 	h := s.Handler()
 
 	// Occupy the single inflight slot directly.
-	if err := s.lim.acquire(context.Background()); err != nil {
+	if err := s.lim.acquire(context.Background(), time.Now().Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,7 +320,7 @@ func TestReload(t *testing.T) {
 	writeSnapshot(testApprox(t))
 
 	reg := obs.NewRegistry()
-	s := New(Config{CacheSize: 16, Shards: 4, SnapshotPath: path, Registry: reg})
+	s := New(Config{CacheSize: 16, SnapshotPath: path, Registry: reg})
 	if err := s.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -406,37 +403,6 @@ func TestReloadErrors(t *testing.T) {
 	}
 	if code, _, _ := get(t, s2.Handler(), "/stats"); code != http.StatusOK {
 		t.Fatal("failed reload broke the serving snapshot")
-	}
-}
-
-// TestShardedStoreMatchesOracle cross-checks the sharded spread/influence
-// against the plain oracle on a larger random-ish log, for several shard
-// counts.
-func TestShardedStoreMatchesOracle(t *testing.T) {
-	l := graph.New(64)
-	tick := int64(0)
-	for i := 0; i < 400; i++ {
-		tick += int64(i%7 + 1)
-		l.Add(graph.NodeID((i*13)%64), graph.NodeID((i*29+5)%64), graph.Time(tick))
-	}
-	l.Sort()
-	sum, err := core.ComputeApprox(l, 300, core.DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := core.NewApproxOracle(sum)
-	seeds := []graph.NodeID{3, 17, 42, 63, 0}
-	for _, shards := range []int{1, 2, 7, 64} {
-		st := newStore(shards)
-		st.loadApprox(sum)
-		if got, want := st.spread(seeds), oracle.Spread(seeds); got != want {
-			t.Errorf("shards=%d: spread %v != oracle %v", shards, got, want)
-		}
-		for u := 0; u < 64; u++ {
-			if got, want := st.influence(graph.NodeID(u)), oracle.InfluenceSize(graph.NodeID(u)); got != want {
-				t.Errorf("shards=%d node %d: influence %v != %v", shards, u, got, want)
-			}
-		}
 	}
 }
 

@@ -246,11 +246,13 @@ func NewSlidingProfiles(n, precision int, window int64) (*SlidingProfiles, error
 // Serving (internal/serve): the production-shaped query layer between
 // computed IRS summaries and HTTP.
 type (
-	// QueryServer answers oracle queries over HTTP with a sharded
-	// snapshot store (live-reloadable via Reload or POST /admin/reload),
-	// a bounded LRU result cache with single-flight deduplication, and
-	// admission control that sheds overload with 429/503. Responses are
-	// byte-identical with caching and sharding on or off.
+	// QueryServer answers oracle queries over HTTP from one immutable
+	// snapshot per request (live-reloadable via Reload or POST
+	// /admin/reload), with a bounded LRU result cache with single-flight
+	// deduplication and admission control that sheds overload with
+	// 429/503. Responses are byte-identical with caching on or off. A
+	// cluster's merged query surface (NewClusterFrontend) is the same
+	// server over a scatter-gather view.
 	QueryServer = serve.Server
 	// ServeConfig parameterizes a QueryServer; its zero value is usable.
 	ServeConfig = serve.Config
@@ -322,10 +324,6 @@ type (
 	// ClusterGather is the store shard checkpoints publish into and the
 	// scatter-gather query math over it.
 	ClusterGather = cluster.Gather
-	// ClusterFrontend serves the merged query surface over a
-	// ClusterGather with the exact routes and response bodies of a
-	// single-node QueryServer, plus /cluster/stats.
-	ClusterFrontend = cluster.Frontend
 )
 
 // ClusterSlots is the size of the routing keyspace every cluster uses.
@@ -344,8 +342,11 @@ const ClusterSlots = cluster.Slots
 func NewClusterIngester(cfg ClusterConfig) (*ClusterIngester, error) { return cluster.New(cfg) }
 
 // NewClusterFrontend returns the merged HTTP query surface over a
-// cluster's gather store.
-func NewClusterFrontend(g *ClusterGather) *ClusterFrontend { return cluster.NewFrontend(g) }
+// cluster's gather store: a QueryServer with the exact routes and
+// response bodies of a single-node one, result cache and admission
+// control included, keyed on the cluster generation, plus
+// /cluster/stats.
+func NewClusterFrontend(g *ClusterGather) *QueryServer { return cluster.NewFrontend(g) }
 
 // DefaultClusterSlotMap deals the slot space to shards in contiguous
 // ranges, the routing a ClusterConfig with a nil Slots selects.
