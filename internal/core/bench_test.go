@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ipin/internal/gen"
 	"ipin/internal/graph"
 )
 
@@ -29,6 +30,29 @@ func BenchmarkComputeApprox(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ComputeApprox(benchLog, 5000, 9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkComputeApproxWindow is the streaming benchmark's offline
+// window scan: a uniform stream over 5,000 nodes, about four ticks per
+// edge, 65,536 edges and ω = 32,768 ticks. Its sketches grow from a few
+// cells to dense during the scan, so it covers both cell-index modes and
+// the switch between them.
+func BenchmarkComputeApproxWindow(b *testing.B) {
+	l, err := gen.Generate(gen.Config{
+		Name: "window", Model: gen.ModelUniform, Nodes: 5000,
+		Interactions: 1 << 16, SpanTicks: 4 << 16, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.Detie()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeApprox(l, 32768, DefaultPrecision); err != nil {
 			b.Fatal(err)
 		}
 	}

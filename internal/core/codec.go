@@ -121,7 +121,10 @@ func (s *ApproxSummaries) WriteTo(w io.Writer) (int64, error) {
 	if err := writeHeader(cw, kindApprox, s.Omega, len(s.Sketches)); err != nil {
 		return cw.n, err
 	}
+	// One payload buffer serves every sketch: encoding allocates only
+	// while it grows to the largest payload.
 	var tmp [binary.MaxVarintLen64]byte
+	var payload []byte
 	for u, sk := range s.Sketches {
 		if sk == nil {
 			if _, err := cw.Write([]byte{0}); err != nil {
@@ -129,8 +132,8 @@ func (s *ApproxSummaries) WriteTo(w io.Writer) (int64, error) {
 			}
 			continue
 		}
-		payload, err := sk.MarshalBinary()
-		if err != nil {
+		var err error
+		if payload, err = sk.AppendBinary(payload[:0]); err != nil {
 			return cw.n, fmt.Errorf("core: sketch %d: %v", u, err)
 		}
 		n := binary.PutUvarint(tmp[:], uint64(len(payload)))

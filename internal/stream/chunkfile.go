@@ -100,12 +100,16 @@ func encodeChunkPayload(i int, omega int64, precision int, edges []graph.Interac
 		}
 	}
 	buf = put(buf, uint64(populated))
+	// Sketches encode into one reused buffer (the length prefix must
+	// precede the bytes), so the loop allocates only while buf and sb
+	// grow.
+	var sb []byte
 	for u, sk := range locals {
 		if sk == nil {
 			continue
 		}
-		sb, err := sk.MarshalBinary()
-		if err != nil {
+		var err error
+		if sb, err = sk.AppendBinary(sb[:0]); err != nil {
 			return nil, fmt.Errorf("stream: chunk %d sketch %d: %w", i, u, err)
 		}
 		buf = put(buf, uint64(u))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -44,6 +45,11 @@ func ParseEdge(line string) (graph.Interaction, error) {
 	}
 	if src < 0 || dst < 0 {
 		return e, fmt.Errorf("negative node id")
+	}
+	// Node ids are int32 (graph.NodeID); a wider value would wrap on the
+	// conversion below. The WAL decoder rejects the same range.
+	if src > math.MaxInt32 || dst > math.MaxInt32 {
+		return e, fmt.Errorf("node id above %d", math.MaxInt32)
 	}
 	return graph.Interaction{Src: graph.NodeID(src), Dst: graph.NodeID(dst), At: graph.Time(at)}, nil
 }

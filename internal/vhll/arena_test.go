@@ -197,20 +197,33 @@ func TestPruneBoundsRetainedMemory(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocFree pins the tentpole's allocation contract: at
-// steady state (regions warmed to their working capacity) Add, Merge and
-// MergeWindow perform zero heap allocations per op.
+// TestSteadyStateAllocFree pins the allocation contract: at steady state
+// (regions warmed to their working capacity) Add, AddHashBatch, Merge and
+// MergeWindow perform zero heap allocations per op, and so does encoding
+// into a reused buffer — with the sketches below the cell-index switch
+// point (no slot map) and above it.
 func TestSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	for _, c := range []struct {
+		name  string
+		cells int
+	}{{"sparse", denseAbove / 2}, {"dense", 512}} {
+		t.Run(c.name, func(t *testing.T) { testAllocFree(t, c.cells) })
+	}
+}
+
+// testAllocFree runs the steady-state paths on precision-9 sketches over
+// the given number of distinct cells.
+func testAllocFree(t *testing.T, cells int) {
 	// Add: reverse stream of repeating items — every op is an in-place
 	// front eviction once the staircase is warm.
 	s := MustNew(9)
 	at := int64(1 << 40)
-	hashes := make([]uint64, 4096)
+	hashes := make([]uint64, 8*cells)
 	for i := range hashes {
-		hashes[i] = mkHash(9, uint32(i%512), uint8(i%16+1))
+		hashes[i] = mkHash(9, uint32(i%cells), uint8(i%16+1))
 	}
 	for i := 0; i < 3*len(hashes); i++ {
 		at--
@@ -224,16 +237,29 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Add steady state: %.1f allocs/op, want 0", got)
 	}
+	ats := make([]int64, len(hashes))
+	if got := testing.AllocsPerRun(100, func() {
+		for j := range ats {
+			at--
+			ats[j] = at
+		}
+		s.AddHashBatch(hashes, ats)
+	}); got != 0 {
+		t.Errorf("AddHashBatch steady state: %.1f allocs/op, want 0", got)
+	}
 
 	// Merge: once dst has adopted src's cells, re-merging the same content
 	// unions in place.
 	src := MustNew(9)
-	for j := 0; j < 4096; j++ {
-		src.AddHash(hashes[j%len(hashes)], int64(1<<30-j))
+	for j := range hashes {
+		src.AddHash(hashes[j], int64(1<<30-j))
 	}
 	dst := MustNew(9)
 	if err := dst.Merge(src); err != nil {
 		t.Fatal(err)
+	}
+	if dense := cells > denseAbove; (s.slot != nil) != dense || (dst.slot != nil) != dense {
+		t.Fatalf("%d cells: want dense=%v, got %v and %v", cells, dense, s.slot != nil, dst.slot != nil)
 	}
 	if got := testing.AllocsPerRun(500, func() {
 		if err := dst.Merge(src); err != nil {
@@ -253,5 +279,12 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("MergeWindow steady state: %.1f allocs/op, want 0", got)
+	}
+
+	buf, _ := dst.AppendBinary(nil)
+	if got := testing.AllocsPerRun(500, func() {
+		buf, _ = dst.AppendBinary(buf[:0])
+	}); got != 0 {
+		t.Errorf("AppendBinary into a reused buffer: %.1f allocs/op, want 0", got)
 	}
 }

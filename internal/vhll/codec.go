@@ -13,41 +13,74 @@ import (
 // delta, rank byte) pairs. Timestamps within a cell ascend, so deltas
 // against the previous entry compress well.
 //
-// The encoder walks cells in index order 0..β−1 through the slot map, so
-// the bytes depend only on per-cell staircase CONTENT — the arena's
-// first-touch region order, capacities, and garbage are invisible, which
-// is what keeps the format bit-identical across the flat-layout refactor.
+// The encoder walks populated cells in cell order — a sorted copy of a
+// sparse sketch's index, the slot map of a dense one — and writes each
+// run of empty cells (a zero count each) as one append, so the bytes
+// depend only on per-cell staircase CONTENT: index mode, first-touch
+// region order, capacities and garbage are invisible, which is what keeps
+// the format bit-identical across layout changes.
 var vhllMagic = [4]byte{'V', 'H', 'L', '1'}
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(vhllMagic[:])
-	buf.WriteByte(s.precision)
-	var tmp [binary.MaxVarintLen64]byte
-	for i := 0; i < s.NumCells(); i++ {
-		var list []Entry
-		if si := s.slot[i]; si != 0 {
-			list = s.cellEntries(int(si - 1))
+	return s.AppendBinary(make([]byte, 0, len(vhllMagic)+1+s.NumCells()+4*s.live))
+}
+
+// AppendBinary appends the MarshalBinary encoding of s to b and returns
+// the extended buffer (encoding.BinaryAppender). Encoding many sketches
+// into one reused buffer allocates nothing once the buffer has grown.
+func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, vhllMagic[:]...)
+	b = append(b, s.precision)
+	next := 0 // first cell not yet written
+	if s.slot == nil {
+		// The sparse index is in first-touch order: insertion-sort its at
+		// most denseAbove (cell, index) pairs on the stack.
+		var order [denseAbove]uint64
+		for k, cell := range s.occupied {
+			v := uint64(cell)<<32 | uint64(k)
+			j := k
+			for ; j > 0 && order[j-1] > v; j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = v
 		}
-		n := binary.PutUvarint(tmp[:], uint64(len(list)))
-		buf.Write(tmp[:n])
-		prev := int64(0)
-		for _, e := range list {
-			n = binary.PutVarint(tmp[:], e.At-prev)
-			buf.Write(tmp[:n])
-			buf.WriteByte(e.Rank)
-			prev = e.At
+		for _, v := range order[:len(s.occupied)] {
+			cell := int(v >> 32)
+			b = append(b, make([]byte, cell-next)...)
+			b = appendCell(b, s.cellEntries(int(uint32(v))))
+			next = cell + 1
+		}
+	} else {
+		for cell, si := range s.slot {
+			if si != 0 {
+				b = append(b, make([]byte, cell-next)...)
+				b = appendCell(b, s.cellEntries(int(si-1)))
+				next = cell + 1
+			}
 		}
 	}
-	return buf.Bytes(), nil
+	return append(b, make([]byte, s.NumCells()-next)...), nil
+}
+
+// appendCell appends one populated cell: its count, then its entries.
+func appendCell(b []byte, list []Entry) []byte {
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	prev := int64(0)
+	for _, e := range list {
+		b = binary.AppendVarint(b, e.At-prev)
+		b = append(b, e.Rank)
+		prev = e.At
+	}
+	return b
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded
 // sketch is verified against the staircase invariant, so corrupted or
-// adversarial input is rejected rather than silently accepted. Cell
-// regions are built tight (capacity = length) in cell order; later
-// inserts regrow them on demand.
+// adversarial input is rejected rather than silently accepted. The cell
+// index is built as cells are read (with the slot map once they outnumber
+// the switch point); cell regions are tight (capacity = length), and
+// later inserts regrow them on demand.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) < 5 || !bytes.Equal(data[:4], vhllMagic[:]) {
 		return fmt.Errorf("vhll: bad magic")
@@ -57,7 +90,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("vhll: bad precision %d", p)
 	}
 	r := bytes.NewReader(data[5:])
-	decoded := &Sketch{precision: uint8(p), slot: make([]uint32, 1<<p)}
+	decoded := &Sketch{precision: uint8(p)}
 	for i := 0; i < 1<<p; i++ {
 		count, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -94,9 +127,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			prev += delta
 			list[j] = Entry{At: prev, Rank: rank}
 		}
-		decoded.regs = append(decoded.regs, region{off: uint32(off), n: uint16(count), c: uint16(count)})
-		decoded.occupied = append(decoded.occupied, uint32(i))
-		decoded.slot[i] = uint32(len(decoded.occupied))
+		decoded.link(uint32(i), region{off: uint32(off), n: uint16(count), c: uint16(count)})
 		decoded.live += int(count)
 	}
 	if r.Len() != 0 {

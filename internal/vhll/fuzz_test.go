@@ -57,6 +57,15 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(append([]byte{'V', 'H', 'L', '1', 4}, 0x81, 0x02)) // cell 0 count = 257
 	f.Add([]byte("VHL1"))
 	f.Add([]byte{})
+	// Populations around the cell-index switch point: the decoder builds
+	// the sparse index for the first two and the slot map for the third.
+	for _, n := range []int{denseAbove - 1, denseAbove, denseAbove + 1} {
+		data, err := withCells(n).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Sketch
 		if err := s.UnmarshalBinary(data); err != nil {

@@ -27,7 +27,12 @@ import (
 // never to paper over an identity break):
 //
 //	go test ./internal/vhll -run TestGoldenRepresentationIdentity -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the representation-identity golden file")
+//
+// The switch-point streams (switchCases) live in a second golden file,
+// recorded the same way with the dense-only cell index that preceded the
+// sparse one (-run TestGoldenSwitchStreams), so the first file's cases
+// and bytes stay exactly as recorded.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the representation-identity golden files")
 
 // goldenCase derives one deterministic operation stream from its seed.
 type goldenCase struct {
@@ -39,7 +44,9 @@ type goldenCase struct {
 	// timestamps), "forward" (swhll-style ascending, fed negated),
 	// "adversarial" (crafted cell/rank collisions incl. max ranks),
 	// "prune" (reverse with interleaved Prune calls),
-	// "dense" (small precision, enough distinct items to leave sparse()).
+	// "dense" (small precision, enough distinct items to leave sparse()),
+	// "switch" (a universe just past the cell-index switch point, pruned
+	// back to a few cells every 64 ops, beside a sparse merge operand).
 	Mode string `json:"mode"`
 }
 
@@ -68,6 +75,15 @@ var goldenCases = []goldenCase{
 	{Name: "reverse-ties", Precision: 5, Ops: 2500, Seed: 7, Mode: "adversarial"},
 }
 
+// switchCases cross the sparse/dense switch point (32 populated cells)
+// upward and back down through Prune many times; the short one leaves its
+// merge operand sparse.
+var switchCases = []goldenCase{
+	{Name: "switch-prune", Precision: 9, Ops: 3000, Seed: 8, Mode: "switch"},
+	{Name: "switch-sparse-merge", Precision: 9, Ops: 700, Seed: 9, Mode: "switch"},
+	{Name: "switch-wide", Precision: 11, Ops: 2000, Seed: 10, Mode: "switch"},
+}
+
 // goldenHash builds a hash landing in cell with rank under precision p,
 // mirroring mkHash but tolerant of the max-rank case (all-zero rest).
 func goldenHash(p int, cell uint32, rank uint8) uint64 {
@@ -81,6 +97,9 @@ func goldenHash(p int, cell uint32, rank uint8) uint64 {
 	}
 	return h
 }
+
+// goldenStep, when set, observes the sketch after every op of a case.
+var goldenStep func(s *Sketch)
 
 // runGoldenCase drives the case's op stream and captures outputs.
 func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
@@ -123,6 +142,8 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
 			h = goldenHash(gc.Precision, cell, rank)
 		case "dense":
 			h = hll.Hash64(uint64(rng.Intn(1 << 14)))
+		case "switch":
+			h = hll.Hash64(uint64(rng.Intn(48)))
 		default:
 			h = hll.Hash64(uint64(rng.Intn(4096)))
 		}
@@ -132,11 +153,21 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenOut {
 		} else {
 			add(s, h, cur)
 		}
-		if rng.Intn(3) == 0 {
+		if gc.Mode == "switch" {
+			if rng.Intn(40) == 0 {
+				add(other, hll.Hash64(uint64(rng.Intn(4096))), cur)
+			}
+			if i%64 == 63 {
+				s.Prune(cur, 4)
+			}
+		} else if rng.Intn(3) == 0 {
 			add(other, hll.Hash64(uint64(rng.Intn(4096))), cur)
 		}
 		if gc.Mode == "prune" && i%500 == 499 {
 			s.Prune(cur, span/8)
+		}
+		if goldenStep != nil {
+			goldenStep(s)
 		}
 	}
 	if err := s.CheckInvariant(); err != nil {
@@ -212,18 +243,24 @@ func f64hex(v float64) string {
 	return fmt.Sprintf("%016x", math.Float64bits(v))
 }
 
-func goldenPath() string {
-	return filepath.Join("testdata", "golden_streams.json")
+func TestGoldenRepresentationIdentity(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "golden_streams.json"), goldenCases)
 }
 
-func TestGoldenRepresentationIdentity(t *testing.T) {
+func TestGoldenSwitchStreams(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "golden_switch_streams.json"), switchCases)
+}
+
+// checkGolden runs cases against the golden file at path, or rewrites
+// the file under -update-golden.
+func checkGolden(t *testing.T, path string, cases []goldenCase) {
 	type entry struct {
 		Case goldenCase `json:"case"`
 		Out  goldenOut  `json:"out"`
 	}
 	if *updateGolden {
 		var entries []entry
-		for _, gc := range goldenCases {
+		for _, gc := range cases {
 			entries = append(entries, entry{Case: gc, Out: runGoldenCase(t, gc)})
 		}
 		data, err := json.MarshalIndent(entries, "", "  ")
@@ -233,13 +270,13 @@ func TestGoldenRepresentationIdentity(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(), append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d cases)", goldenPath(), len(entries))
+		t.Logf("wrote %s (%d cases)", path, len(entries))
 		return
 	}
-	data, err := os.ReadFile(goldenPath())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("golden file missing (generate with -update-golden at the pinned pre-refactor commit): %v", err)
 	}
@@ -247,14 +284,14 @@ func TestGoldenRepresentationIdentity(t *testing.T) {
 	if err := json.Unmarshal(data, &entries); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(goldenCases) {
-		t.Fatalf("golden file has %d cases, test defines %d", len(entries), len(goldenCases))
+	if len(entries) != len(cases) {
+		t.Fatalf("golden file has %d cases, test defines %d", len(entries), len(cases))
 	}
 	for i, e := range entries {
 		e := e
 		t.Run(e.Case.Name, func(t *testing.T) {
-			if goldenCases[i] != e.Case {
-				t.Fatalf("case definition drifted from golden file: %+v vs %+v", goldenCases[i], e.Case)
+			if cases[i] != e.Case {
+				t.Fatalf("case definition drifted from golden file: %+v vs %+v", cases[i], e.Case)
 			}
 			got := runGoldenCase(t, e.Case)
 			if got != e.Out {

@@ -21,8 +21,11 @@
 //
 // Cell lists live in ONE contiguous []Entry arena per sketch instead of a
 // per-cell slice each. A compact region table (offset, length, capacity —
-// 8 bytes per populated cell) indexes the arena in first-touch order, and
-// a per-cell slot map resolves cell → region in O(1). Staircase walks,
+// 8 bytes per populated cell) indexes the arena in first-touch order.
+// While a sketch populates at most denseAbove cells a lookup scans that
+// short table; past that, a per-cell slot map resolves cell → region in
+// O(1). Every per-sketch cost — New, Clone, the encoder — therefore
+// follows the populated cells rather than β. Staircase walks,
 // Prune, Merge and CollapseWindow therefore scan adjacent memory, and the
 // mutating hot paths are allocation-free at steady state: an insert that
 // fits its region's capacity shifts in place; one that does not relocates
@@ -66,6 +69,16 @@ const maxCellEntries = 256
 // regionInitCap is the capacity of a freshly allocated cell region.
 const regionInitCap = 4
 
+// denseAbove is the switch point between the two cell-index modes: a
+// sketch builds its β-entry slot map when a new cell would populate more
+// than denseAbove cells, and drops it again when Prune leaves at most
+// denseAbove/2 (the gap keeps a sketch hovering at the switch point from
+// rebuilding the map on every prune). Below it, a lookup scans the
+// occupied list. The value came from a measured sweep (DESIGN.md, "Flat
+// staircase arena"); it is not a tuning option, because nothing
+// observable depends on it.
+const denseAbove = 32
+
 // region locates one populated cell's staircase inside the arena:
 // arena[off : off+n] holds the entries, arena[off : off+c] is the space
 // the cell owns (n ≤ c). Relocation abandons the owned space to garbage.
@@ -85,14 +98,19 @@ type Sketch struct {
 	garbage int
 	arena   []Entry
 	// regs and occupied are parallel: occupied[k] is the cell whose
-	// staircase regs[k] locates. First-touch order; merges and counts
-	// touch only populated cells, which in the IRS scan is a handful of
-	// the β cells — the difference between O(β) and O(populated) per edge.
+	// staircase regs[k] locates. First-touch order, which is also the
+	// order regions were carved from the arena, so walking the index
+	// reads the arena front to back (relocated regions aside). Merges and
+	// counts touch only populated cells, which in the IRS scan is a
+	// handful of the β cells — the difference between O(β) and
+	// O(populated) per edge.
 	regs     []region
 	occupied []uint32
-	// slot maps cell → 1+index into occupied/regs, 0 = unpopulated. The
-	// index is exact: a cell pruned empty leaves it (and occupied), so
-	// iteration cost always equals the populated-cell count.
+	// slot is nil while the sketch is sparse: a lookup then scans
+	// occupied, at most denseAbove cell ids. Once dense it maps cell →
+	// 1+index into occupied/regs, 0 = unpopulated. The index is exact in
+	// both modes: a cell pruned empty leaves it, so iteration cost always
+	// equals the populated-cell count.
 	slot []uint32
 }
 
@@ -102,7 +120,7 @@ func New(precision int) (*Sketch, error) {
 	if precision < hll.MinPrecision || precision > hll.MaxPrecision {
 		return nil, fmt.Errorf("vhll: precision %d outside [%d,%d]", precision, hll.MinPrecision, hll.MaxPrecision)
 	}
-	return &Sketch{precision: uint8(precision), slot: make([]uint32, 1<<precision)}, nil
+	return &Sketch{precision: uint8(precision)}, nil
 }
 
 // MustNew is New for statically known precisions; it panics on error.
@@ -149,6 +167,44 @@ func (s *Sketch) AddHashBatch(hashes []uint64, ats []int64) {
 	}
 }
 
+// locate returns the index of cell in occupied/regs and whether it is
+// populated.
+func (s *Sketch) locate(cell uint32) (int, bool) {
+	if s.slot != nil {
+		si := s.slot[cell]
+		return int(si) - 1, si != 0
+	}
+	return s.scan(cell)
+}
+
+// scan finds cell in the index of a sparse sketch. The index holds at
+// most denseAbove cell ids (128 bytes), so a linear scan beats keeping it
+// sorted: a new cell is appended instead of shifted into place.
+func (s *Sketch) scan(cell uint32) (int, bool) {
+	for k, c := range s.occupied {
+		if c == cell {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// link appends r as the region of a newly populated cell. Populating
+// more than denseAbove cells builds the slot map.
+func (s *Sketch) link(cell uint32, r region) {
+	s.occupied = append(s.occupied, cell)
+	s.regs = append(s.regs, r)
+	switch {
+	case s.slot != nil:
+		s.slot[cell] = uint32(len(s.occupied))
+	case len(s.occupied) > denseAbove:
+		s.slot = make([]uint32, s.NumCells())
+		for k, c := range s.occupied {
+			s.slot[c] = uint32(k + 1)
+		}
+	}
+}
+
 // cellEntries returns the live staircase of region k.
 func (s *Sketch) cellEntries(k int) []Entry {
 	r := s.regs[k]
@@ -160,12 +216,12 @@ func (s *Sketch) cellEntries(k int) []Entry {
 func (s *Sketch) insert(cell uint32, e Entry) {
 	mx := m()
 	mx.inserts.Inc()
-	si := s.slot[cell]
-	if si == 0 {
+	k, ok := s.locate(cell)
+	if !ok {
 		s.newRegion(cell, e)
 		return
 	}
-	r := &s.regs[si-1]
+	r := &s.regs[k]
 	n := int(r.n)
 	list := s.arena[r.off : int(r.off)+n]
 	// idx = number of entries with At <= e.At (insertion point). Reverse-
@@ -203,7 +259,7 @@ func (s *Sketch) insert(cell uint32, e Entry) {
 			s.live++
 			return
 		}
-		s.growInsert(si, lo, e)
+		s.growInsert(k, lo, e)
 		return
 	}
 	// Replace list[lo:hi] with e — never longer than before, so always in
@@ -222,17 +278,15 @@ func (s *Sketch) newRegion(cell uint32, e Entry) {
 	off := len(s.arena)
 	s.arena = s.arena[:off+regionInitCap]
 	s.arena[off] = e
-	s.regs = append(s.regs, region{off: uint32(off), n: 1, c: regionInitCap})
-	s.occupied = append(s.occupied, cell)
-	s.slot[cell] = uint32(len(s.occupied))
+	s.link(cell, region{off: uint32(off), n: 1, c: regionInitCap})
 	s.live++
 }
 
-// growInsert relocates region si-1 to the arena frontier with doubled
+// growInsert relocates region k to the arena frontier with doubled
 // capacity, inserting e at staircase position lo on the way.
-func (s *Sketch) growInsert(si uint32, lo int, e Entry) {
-	n := int(s.regs[si-1].n)
-	nc := int(s.regs[si-1].c) * 2
+func (s *Sketch) growInsert(k int, lo int, e Entry) {
+	n := int(s.regs[k].n)
+	nc := int(s.regs[k].c) * 2
 	if nc > maxCellEntries {
 		nc = maxCellEntries
 	}
@@ -241,7 +295,7 @@ func (s *Sketch) growInsert(si uint32, lo int, e Entry) {
 	}
 	s.reserve(nc)
 	// reserve may have compacted; re-read the region after it.
-	r := &s.regs[si-1]
+	r := &s.regs[k]
 	old := s.arena[r.off : int(r.off)+n]
 	front := len(s.arena)
 	s.arena = s.arena[:front+nc]
@@ -429,7 +483,8 @@ func (s *Sketch) MergeWindow(other *Sketch, t, omega int64) error {
 		if cut < len(list) {
 			examined++
 		}
-		s.mergeCell(cell, list[:cut])
+		j, ok := s.locate(cell)
+		s.mergeCell(j, ok, cell, list[:cut])
 	}
 	mx.mergeEntries.Add(examined)
 	return nil
@@ -450,7 +505,8 @@ func (s *Sketch) Merge(other *Sketch) error {
 	for k, cell := range other.occupied {
 		list := other.cellEntries(k)
 		examined += int64(len(list))
-		s.mergeCell(cell, list)
+		j, ok := s.locate(cell)
+		s.mergeCell(j, ok, cell, list)
 	}
 	mx.mergeEntries.Add(examined)
 	return nil
@@ -478,37 +534,31 @@ func MergeInto(dst, src *Sketch) *Sketch {
 	return dst
 }
 
-// mergeCell folds one source staircase into cell. Both lists are
-// staircases (ascending At, strictly ascending Rank), so the union is a
-// single linear sweep in time order keeping entries whose rank exceeds
-// everything emitted so far — O(m+n), against the O(m·n) worst case of
-// rebuilding insert by insert. The union is written into reserved space
-// at the arena frontier (never aliasing either input) and copied back
-// into the cell's region when it fits its capacity; otherwise the
-// frontier space becomes the cell's new region. Steady-state merges —
-// where the destination cell has seen the churn before — allocate
-// nothing. The parallel scan's stitch fold leans on this: it re-merges
-// whole block-local sketches once per block boundary.
-func (s *Sketch) mergeCell(cell uint32, other []Entry) {
-	if len(other) == 0 {
-		return
-	}
-	si := s.slot[cell]
-	if si == 0 {
-		// First touch: adopt a tight copy.
+// mergeCell folds one source staircase into a cell: the one at index k
+// of the cell index when ok, else a first-touched cell, which adopts a
+// tight copy. Both lists are staircases (ascending At, strictly ascending
+// Rank), so the union is a single linear sweep in time order keeping
+// entries whose rank exceeds everything emitted so far — O(m+n), against
+// the O(m·n) worst case of rebuilding insert by insert. The union is
+// written into reserved space at the arena frontier (never aliasing
+// either input) and copied back into the cell's region when it fits its
+// capacity; otherwise the frontier space becomes the cell's new region.
+// Steady-state merges — where the destination cell has seen the churn
+// before — allocate nothing. The parallel scan's stitch fold leans on
+// this: it re-merges whole block-local sketches once per block boundary.
+func (s *Sketch) mergeCell(k int, ok bool, cell uint32, other []Entry) {
+	if !ok {
 		s.reserve(len(other))
 		off := len(s.arena)
 		s.arena = s.arena[:off+len(other)]
 		copy(s.arena[off:], other)
-		s.regs = append(s.regs, region{off: uint32(off), n: uint16(len(other)), c: uint16(len(other))})
-		s.occupied = append(s.occupied, cell)
-		s.slot[cell] = uint32(len(s.occupied))
+		s.link(cell, region{off: uint32(off), n: uint16(len(other)), c: uint16(len(other))})
 		s.live += len(other)
 		return
 	}
-	need := int(s.regs[si-1].n) + len(other)
+	need := int(s.regs[k].n) + len(other)
 	s.reserve(need)
-	r := &s.regs[si-1]
+	r := &s.regs[k]
 	list := s.arena[r.off : int(r.off)+int(r.n)]
 	front := len(s.arena)
 	out := s.arena[front : front+need] // reserved, beyond len, within cap
@@ -575,45 +625,41 @@ func unionStaircase(dst, a, b []Entry) int {
 // sliding-window distinct counting. The IRS algorithms do NOT prune,
 // because their final per-node estimates span every entry ever retained.
 // A cell pruned empty leaves the occupied index immediately (its region
-// returns to garbage), so iteration cost after a prune always matches the
-// surviving entry count — a long-lived sketch never walks stale slots.
+// returns to garbage; the survivors keep their order), so iteration cost
+// after a prune always matches the surviving entry count — a long-lived
+// sketch never walks stale slots. A dense sketch pruned down to
+// denseAbove/2 cells drops its slot map.
 func (s *Sketch) Prune(current, omega int64) {
 	mx := m()
 	mx.prunes.Inc()
 	dropped := int64(0)
 	hi := current + omega - 1
-	for k := 0; k < len(s.occupied); {
-		r := &s.regs[k]
+	w := 0
+	for k, cell := range s.occupied {
+		r := s.regs[k]
 		list := s.arena[r.off : int(r.off)+int(r.n)]
 		idx := upperBound(list, hi)
-		if idx < len(list) {
-			dropped += int64(len(list) - idx)
-			s.live -= len(list) - idx
-			r.n = uint16(idx)
-		}
+		dropped += int64(len(list) - idx)
+		s.live -= len(list) - idx
+		r.n = uint16(idx)
 		if r.n == 0 {
-			s.removeRegion(k)
-			continue // the swapped-in region re-examines index k
+			s.garbage += int(r.c)
+			if s.slot != nil {
+				s.slot[cell] = 0
+			}
+			continue
 		}
-		k++
+		s.occupied[w], s.regs[w] = cell, r
+		if s.slot != nil {
+			s.slot[cell] = uint32(w + 1)
+		}
+		w++
+	}
+	s.occupied, s.regs = s.occupied[:w], s.regs[:w]
+	if w <= denseAbove/2 {
+		s.slot = nil
 	}
 	mx.prunedEntries.Add(dropped)
-}
-
-// removeRegion unlinks region k (its cell pruned empty), swapping the
-// last region into its place and returning the owned space to garbage.
-func (s *Sketch) removeRegion(k int) {
-	cell := s.occupied[k]
-	s.garbage += int(s.regs[k].c)
-	last := len(s.occupied) - 1
-	if k != last {
-		s.occupied[k] = s.occupied[last]
-		s.regs[k] = s.regs[last]
-		s.slot[s.occupied[k]] = uint32(k + 1)
-	}
-	s.occupied = s.occupied[:last]
-	s.regs = s.regs[:last]
-	s.slot[cell] = 0
 }
 
 // EntryCount returns the total number of stored (rank, timestamp) pairs.
@@ -633,9 +679,9 @@ const (
 
 // MemoryBytes returns the bytes the sketch actually retains: the arena
 // allocation (capacity, not just live entries), the region and occupied
-// indexes, and the per-cell slot map. This is what a resident-memory
-// budget observes; for the paper-comparable payload accounting use
-// PayloadBytes.
+// indexes, and the per-cell slot map of a dense sketch. This is what a
+// resident-memory budget observes; for the paper-comparable payload
+// accounting use PayloadBytes.
 func (s *Sketch) MemoryBytes() int {
 	return cap(s.arena)*entrySize +
 		cap(s.regs)*regionSize +
@@ -653,8 +699,8 @@ func (s *Sketch) Clone() *Sketch {
 		live:      s.live,
 		arena:     make([]Entry, 0, s.live),
 		regs:      make([]region, 0, len(s.regs)),
-		occupied:  append([]uint32(nil), s.occupied...),
-		slot:      append([]uint32(nil), s.slot...),
+		occupied:  slices.Clone(s.occupied),
+		slot:      slices.Clone(s.slot),
 	}
 	for k := range s.regs {
 		r := s.regs[k]
@@ -667,8 +713,8 @@ func (s *Sketch) Clone() *Sketch {
 
 // Cell exposes a copy of one cell's list, for tests and diagnostics.
 func (s *Sketch) Cell(i int) []Entry {
-	if si := s.slot[i]; si != 0 {
-		return append([]Entry(nil), s.cellEntries(int(si-1))...)
+	if k, ok := s.locate(uint32(i)); ok {
+		return append([]Entry(nil), s.cellEntries(k)...)
 	}
 	return nil
 }
@@ -676,15 +722,19 @@ func (s *Sketch) Cell(i int) []Entry {
 // CheckInvariant verifies the staircase property of every cell list —
 // strictly ascending timestamps, strictly ascending ranks, which together
 // mean no stored pair dominates another — and the consistency of the flat
-// layout: slot map and occupied index agree exactly, regions are in
+// layout: a sparse index holds distinct cells within the switch point, a
+// dense slot map and the occupied index agree exactly, regions are in
 // bounds and disjoint, and the live/garbage accounting sums match the
-// arena. It returns the first violation, or nil. Property tests call this
-// after random operation sequences.
+// arena. It returns the first violation, or nil. Property tests call
+// this after random operation sequences.
 func (s *Sketch) CheckInvariant() error {
 	if len(s.regs) != len(s.occupied) {
 		return fmt.Errorf("vhll: %d regions for %d occupied cells", len(s.regs), len(s.occupied))
 	}
-	if len(s.slot) != s.NumCells() {
+	switch {
+	case s.slot == nil && len(s.occupied) > denseAbove:
+		return fmt.Errorf("vhll: sparse index holds %d cells, above the switch point %d", len(s.occupied), denseAbove)
+	case s.slot != nil && len(s.slot) != s.NumCells():
 		return fmt.Errorf("vhll: slot map covers %d of %d cells", len(s.slot), s.NumCells())
 	}
 	live, caps := 0, 0
@@ -692,7 +742,11 @@ func (s *Sketch) CheckInvariant() error {
 		if int(cell) >= s.NumCells() {
 			return fmt.Errorf("vhll: occupied cell %d out of range", cell)
 		}
-		if s.slot[cell] != uint32(k+1) {
+		if s.slot == nil {
+			if j := slices.Index(s.occupied[:k], cell); j >= 0 {
+				return fmt.Errorf("vhll: cell %d indexed twice (at %d and %d)", cell, j, k)
+			}
+		} else if s.slot[cell] != uint32(k+1) {
 			return fmt.Errorf("vhll: cell %d at occupied slot %d but slot map says %d", cell, k, int(s.slot[cell])-1)
 		}
 		r := s.regs[k]

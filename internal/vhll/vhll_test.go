@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"ipin/internal/hll"
 )
@@ -224,10 +225,11 @@ func TestMemoryAccounting(t *testing.T) {
 	if s.PayloadBytes() != 0 || s.EntryCount() != 0 {
 		t.Fatal("empty sketch reports payload")
 	}
-	// An empty sketch still retains its slot map and struct — MemoryBytes
-	// is truthful about that, and PayloadBytes is not allowed to count it.
-	if got, floor := s.MemoryBytes(), s.NumCells()*4; got < floor {
-		t.Fatalf("MemoryBytes = %d below slot-map floor %d", got, floor)
+	// An empty sketch still retains its struct — MemoryBytes is truthful
+	// about that, and PayloadBytes is not allowed to count it. It has no
+	// slot map: that only exists past the switch point.
+	if got, floor := s.MemoryBytes(), int(unsafe.Sizeof(*s)); got < floor || got >= floor+s.NumCells()*4 {
+		t.Fatalf("empty MemoryBytes = %d, want the %d-byte struct and no slot map", got, floor)
 	}
 	addCR(s, 0, 1, 10)
 	addCR(s, 1, 2, 9)
@@ -238,7 +240,7 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatalf("PayloadBytes = %d, want %d", got, 2*EntryBytes)
 	}
 	// Retained bytes must cover at least what the live entries occupy.
-	if got := s.MemoryBytes(); got < s.NumCells()*4+2*16 {
+	if got := s.MemoryBytes(); got < int(unsafe.Sizeof(*s))+2*16 {
 		t.Fatalf("MemoryBytes = %d does not cover retained state", got)
 	}
 }
