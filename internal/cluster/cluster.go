@@ -220,9 +220,9 @@ func (c *Ingester) Err() error {
 }
 
 // Stats returns cluster-wide ingestion counters: sums of the per-shard
-// counters, with LastAt the newest timestamp any shard emitted and
-// Checkpoints the total publishes across shards. ShardStats has the
-// per-shard breakdown.
+// counters, with LastAt the newest timestamp any shard emitted,
+// Checkpoints the durable checkpoints and Publishes the publishes across
+// shards. ShardStats has the per-shard breakdown.
 func (c *Ingester) Stats() stream.Stats {
 	var total stream.Stats
 	for _, st := range c.ShardStats() {
@@ -230,7 +230,9 @@ func (c *Ingester) Stats() stream.Stats {
 		total.Emitted += st.Emitted
 		total.ReorderDrops += st.ReorderDrops
 		total.Checkpoints += st.Checkpoints
+		total.Publishes += st.Publishes
 		total.CoveredEdges += st.CoveredEdges
+		total.DurableEdges += st.DurableEdges
 		total.RecoveredChunkEdges += st.RecoveredChunkEdges
 		total.RecoveredWALEdges += st.RecoveredWALEdges
 		total.RetiredChunks += st.RetiredChunks

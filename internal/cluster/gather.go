@@ -197,8 +197,8 @@ func (v View) Precision() int {
 }
 
 // Sketch returns node u's merged sketch — the per-node union across all
-// shards, freshly built and owned by the caller; nil when no shard holds
-// state for u.
+// shards; nil when no shard holds state for u. It is read-only: a node
+// held by one shard (the router's invariant) gets that shard's sketch.
 func (v View) Sketch(u graph.NodeID) *vhll.Sketch {
 	return core.UnionSketch(u, v.parts...)
 }

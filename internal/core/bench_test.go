@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,6 +56,44 @@ func BenchmarkComputeApproxWindow(b *testing.B) {
 		if _, err := ComputeApprox(l, 32768, DefaultPrecision); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFoldTail is a mid-interval publish on the streaming
+// benchmark's shape: BenchmarkComputeApproxWindow's 5,000-node uniform
+// stream sealed as four 16,384-edge chunks with a warm fold cache, and
+// an unsealed tail of 512, 4,096 or 16,384 edges folded against it.
+func BenchmarkFoldTail(b *testing.B) {
+	const sealed = 4 << 14
+	l, err := gen.Generate(gen.Config{
+		Name: "window", Model: gen.ModelUniform, Nodes: 5000,
+		Interactions: sealed + 1<<14, SpanTicks: 4 * (sealed + 1<<14), Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.Detie()
+	inc, err := NewIncrementalApprox(32768, DefaultPrecision, l.NumNodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < sealed; lo += 1 << 14 {
+		if err := inc.AppendChunk(l.Interactions[lo:lo+1<<14], l.NumNodes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	view := inc.View()
+	_ = view.Fold() // warm the cache, as the previous checkpoint would
+	for _, n := range []int{512, 4096, 1 << 14} {
+		tail := l.Interactions[sealed : sealed+n]
+		b.Run(fmt.Sprintf("tail=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := view.FoldTail(tail); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

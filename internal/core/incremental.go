@@ -98,6 +98,7 @@ type cacheBox struct {
 type approxChunk struct {
 	edges  []graph.Interaction
 	locals []*vhll.Sketch
+	owned  bool // a transient tail's locals, which its one fold may adopt
 }
 
 func (c *approxChunk) local(u graph.NodeID) *vhll.Sketch {
@@ -179,7 +180,8 @@ func (inc *IncrementalApprox) RetainedInteractions(fn func([]graph.Interaction))
 // The fold cache is left alone: cache entries are tagged with the base
 // they folded from, and a base mismatch makes the next Fold start from
 // scratch over the retained chunks (bounded by the horizon, which is the
-// point). Returns the number of chunks and interactions retired.
+// point) and drop the stale entry. Returns the number of chunks and
+// interactions retired.
 func (inc *IncrementalApprox) Retire(horizon int64) (chunks, edges int) {
 	k := 0
 	for k < len(inc.chunks) {
@@ -341,6 +343,7 @@ func (inc *IncrementalApprox) View() ChunkView {
 		firstChunk:   inc.firstChunk,
 		retiredEdges: inc.retiredEdges,
 		chunks:       inc.chunks[:len(inc.chunks):len(inc.chunks)],
+		hashes:       inc.hashes[:len(inc.hashes):len(inc.hashes)],
 		cache:        inc.cache,
 	}
 }
@@ -358,6 +361,7 @@ type ChunkView struct {
 	firstChunk   int
 	retiredEdges int
 	chunks       []approxChunk
+	hashes       []uint64 // node hashes, possibly shorter than numNodes
 	cache        *cacheBox
 }
 
@@ -439,7 +443,11 @@ func (v ChunkView) Chunk(i int) (edges []graph.Interaction, locals []*vhll.Sketc
 // shared with earlier Fold results and with the internal cache, so
 // callers must treat ApproxSummaries.Sketches as read-only — which the
 // serving layer already does.
-func (v ChunkView) Fold() *ApproxSummaries {
+func (v ChunkView) Fold() *ApproxSummaries { return v.fold(true) }
+
+// fold is Fold, recording its result in the cache only when store is
+// set.
+func (v ChunkView) fold(store bool) *ApproxSummaries {
 	workers := Parallelism()
 	s := &ApproxSummaries{
 		Omega:     v.omega,
@@ -471,7 +479,7 @@ func (v ChunkView) Fold() *ApproxSummaries {
 		out = v.foldSuffix(0, workers)
 	}
 	s.Sketches = out
-	if v.cache != nil {
+	if store && v.cache != nil {
 		v.cache.p.Store(&foldCache{base: v.firstChunk, chunks: v.NumChunks(), sketches: out})
 	}
 	span.Endf("%s edges, %d chunks (%d cached), %s entries",
@@ -502,12 +510,19 @@ func (v ChunkView) FoldFrom(from int) (*ApproxSummaries, error) {
 // otherwise. Chunks are append-only and immutable, so a same-base cache
 // recorded through absolute chunk k is always a fold of this view's
 // chunks below k; a cache from a different base is useless — sketches
-// cannot subtract the chunks Retire removed.
+// cannot subtract the chunks Retire removed. A cache from an older base
+// than the view's can serve no later view either (retirement only moves
+// the base forward), so it is dropped here rather than kept alive beside
+// the cold fold that replaces it.
 func (v ChunkView) cachedPrefix() *foldCache {
 	if v.cache == nil {
 		return nil
 	}
 	fc := v.cache.p.Load()
+	if fc != nil && fc.base < v.firstChunk {
+		v.cache.p.CompareAndSwap(fc, nil)
+		return nil
+	}
 	if fc == nil || fc.base != v.firstChunk || fc.chunks <= fc.base ||
 		fc.chunks > v.NumChunks() || len(fc.sketches) > v.numNodes {
 		return nil
@@ -522,12 +537,15 @@ func (v ChunkView) cachedPrefix() *foldCache {
 func (v ChunkView) foldSuffix(from, workers int) []*vhll.Sketch {
 	out := make([]*vhll.Sketch, v.numNodes)
 	// Adopt the latest chunk by clone: the stitch mutates suffix state in
-	// place, and the cached locals must survive for the next fold.
+	// place, and the cached locals must survive for the next fold. A
+	// transient tail's locals are this fold's own.
 	last := &v.chunks[len(v.chunks)-1]
 	par.ForEach(workers, v.numNodes, func(ui int) {
-		if sk := last.local(graph.NodeID(ui)); sk != nil {
-			out[ui] = sk.Clone()
+		sk := last.local(graph.NodeID(ui))
+		if sk != nil && !last.owned {
+			sk = sk.Clone()
 		}
+		out[ui] = sk
 	})
 	for b := len(v.chunks) - 2; b >= from; b-- {
 		c := &v.chunks[b]
@@ -651,10 +669,59 @@ func (v ChunkView) foldDelta(fc *foldCache, workers int) []*vhll.Sketch {
 			// the cached sketch, so its bytes are exactly the cached ones.
 			out[ui] = base
 		default:
-			sk := base.Clone() // cached sketches are shared — never mutate
-			_ = sk.Merge(d[ui])
-			out[ui] = sk
+			out[ui] = vhll.Union(base, d[ui]) // cached sketches are shared — never mutate
 		}
 	})
 	return out
+}
+
+// FoldTail produces summaries over the retained chunks followed by tail
+// — byte-identical to ComputeApprox over those interactions, and to the
+// Fold the view would give had tail been sealed as its next chunk —
+// without sealing, persisting or caching tail. The tail is scanned as a
+// transient chunk appended to a copy of the view, which folds exactly as
+// Fold does (its new chunks, the tail among them, walked back through
+// the cached prefix as a windowed delta) but leaves the fold cache as it
+// found it, so the next Fold sees only sealed state.
+//
+// tail must be strictly ascending in time, strictly after the last
+// retained interaction, with non-negative node ids; ids at or past
+// NumNodes widen the result's node range as sealing would. The slice is
+// only read. Like Fold, the returned sketches may be shared with the
+// cache and must be treated as read-only.
+func (v ChunkView) FoldTail(tail []graph.Interaction) (*ApproxSummaries, error) {
+	n := v.numNodes
+	var prev graph.Time
+	first := true
+	if len(v.chunks) > 0 {
+		last := v.chunks[len(v.chunks)-1].edges
+		prev, first = last[len(last)-1].At, false
+	}
+	for i, e := range tail {
+		if e.Src < 0 || e.Dst < 0 {
+			return nil, fmt.Errorf("core: tail edge %d (%d,%d,%d) has a negative node id", i, e.Src, e.Dst, e.At)
+		}
+		if !first && e.At <= prev {
+			return nil, fmt.Errorf("core: tail edge %d at time %d not after %d", i, e.At, prev)
+		}
+		prev, first = e.At, false
+		n = max(n, int(max(e.Src, e.Dst))+1)
+	}
+	if len(tail) == 0 {
+		return v.Fold(), nil
+	}
+	hashes := v.hashes
+	for len(hashes) < n {
+		// The view's slice is capped at its length, so this append copies
+		// rather than writing into the builder's array.
+		hashes = append(hashes, hll.Hash64(uint64(len(hashes))))
+	}
+	locals := make([]*vhll.Sketch, n)
+	scanApproxBlock(tail, locals, hashes, v.omega, v.precision)
+	t := v
+	t.numNodes = n
+	t.edgeCount += len(tail)
+	t.lastAt = tail[len(tail)-1].At
+	t.chunks = append(v.chunks[:len(v.chunks):len(v.chunks)], approxChunk{edges: tail, locals: locals, owned: true})
+	return t.fold(false), nil
 }

@@ -211,6 +211,103 @@ func TestFoldCacheIncrementalIdentity(t *testing.T) {
 	}
 }
 
+// TestFoldTailIdentity: a tail fold — the unsealed tail walked back
+// through the sealed chunks against their cached fold — must equal the
+// offline scan over the retained edges plus the tail: for empty tails,
+// for tails that widen the node range past the sealed chunks', and
+// after Retire. The cached Fold after the next sealed chunk must still
+// equal the offline scan over the sealed chunks alone, which proves the
+// tail never entered the fold cache (a cached tail would stand in for a
+// chunk holding different edges).
+func TestFoldTailIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	// offline scans all[from:] over the node range all of all implies —
+	// the range a builder that sealed every edge in all would carry.
+	offline := func(all []graph.Interaction, from int, omega int64) []byte {
+		n := 0
+		for _, e := range all {
+			n = max(n, int(max(e.Src, e.Dst))+1)
+		}
+		return foldBytes(t, mustApprox(t, &graph.Log{NumNodes: n, Interactions: all[from:]}, omega, 4))
+	}
+	var widened, retired, empty int
+	for trial := 0; trial < 12; trial++ {
+		n := 2 + rng.Intn(40)
+		m := 1 + rng.Intn(400)
+		edges := randomLog(rng, n, m).Interactions
+		for _, omega := range []int64{1, 3, int64(m/4 + 1), int64(m) + 10} {
+			inc, err := NewIncrementalApprox(omega, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(edges); {
+				hi := lo + 1 + rng.Intn(len(edges)-lo)
+				nodes := inc.NumNodes()
+				for _, e := range edges[lo:hi] {
+					nodes = max(nodes, int(max(e.Src, e.Dst))+1)
+				}
+				if err := inc.AppendChunk(edges[lo:hi], nodes); err != nil {
+					t.Fatalf("AppendChunk[%d:%d]: %v", lo, hi, err)
+				}
+				// The cached Fold after the previous iteration's tail fold:
+				// had that tail entered the cache, it would now stand in for
+				// a chunk holding different edges.
+				if !bytes.Equal(foldBytes(t, inc.View().Fold()), offline(edges[:hi], inc.RetiredEdges(), omega)) {
+					t.Fatalf("trial %d omega %d: Fold over edges[:%d] after a tail fold is not the sealed fold", trial, omega, hi)
+				}
+				if rng.Intn(4) == 0 {
+					if c, _ := inc.Retire(int64(rng.Intn(int(edges[hi-1].At) + 1))); c > 0 {
+						retired++
+					}
+				}
+				tail := edges[hi : hi+rng.Intn(len(edges)-hi+1)]
+				for _, e := range tail {
+					if int(max(e.Src, e.Dst)) >= inc.NumNodes() {
+						widened++
+						break
+					}
+				}
+				if len(tail) == 0 {
+					empty++
+				}
+				got, err := inc.View().FoldTail(tail)
+				if err != nil {
+					t.Fatalf("FoldTail(edges[%d:%d]): %v", hi, hi+len(tail), err)
+				}
+				if !bytes.Equal(foldBytes(t, got), offline(edges[:hi+len(tail)], inc.RetiredEdges(), omega)) {
+					t.Fatalf("trial %d omega %d: tail fold over edges[%d:%d] differs from ComputeApprox (chunks %d, retired %d)",
+						trial, omega, inc.RetiredEdges(), hi+len(tail), inc.NumChunks(), inc.RetiredEdges())
+				}
+				lo = hi
+			}
+		}
+	}
+	if widened == 0 || retired == 0 || empty == 0 {
+		t.Fatalf("cases not exercised: %d widening tails, %d retirements, %d empty tails", widened, retired, empty)
+	}
+}
+
+// TestFoldTailValidation: a tail that is not strictly after the sealed
+// chunks, not strictly ascending, or names a negative node is refused.
+func TestFoldTailValidation(t *testing.T) {
+	inc, err := NewIncrementalApprox(10, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.AppendChunk([]graph.Interaction{{Src: 0, Dst: 1, At: 5}}, 3); err != nil {
+		t.Fatal(err)
+	}
+	for name, tail := range map[string][]graph.Interaction{
+		"not after sealed": {{Src: 1, Dst: 2, At: 5}},
+		"not ascending":    {{Src: 1, Dst: 2, At: 7}, {Src: 2, Dst: 0, At: 7}},
+		"negative node":    {{Src: -1, Dst: 2, At: 7}},
+	} {
+		if _, err := inc.View().FoldTail(tail); err == nil {
+			t.Errorf("%s: FoldTail accepted %v", name, tail)
+		}
+	}
+}
+
 // TestFoldCacheGrowNodes: the delta path must stay identical when new
 // chunks widen the node range past the cached summaries' length.
 func TestFoldCacheGrowNodes(t *testing.T) {

@@ -24,7 +24,9 @@ import (
 // summary set by per-node sketch union (vhll cell-wise dominance merge).
 // The parts must agree on Omega and Precision; nil parts are skipped.
 // The node range of the result is the widest of the parts. Input
-// sketches are never mutated: each output sketch is built on a clone.
+// sketches are never mutated. A node held by one part only — every
+// node, under the cluster router's invariant — shares that part's
+// sketch, so the result is read-only like the parts.
 func UnionApproxSummaries(parts ...*ApproxSummaries) (*ApproxSummaries, error) {
 	live := parts[:0:0]
 	for _, p := range parts {
@@ -52,13 +54,7 @@ func UnionApproxSummaries(parts ...*ApproxSummaries) (*ApproxSummaries, error) {
 	// Per-node unions are independent; run them across the worker pool
 	// like the oracle collapse does.
 	par.ForEach(Parallelism(), n, func(u int) {
-		var merged *vhll.Sketch
-		for _, p := range live {
-			if u < p.NumNodes() {
-				merged = vhll.MergeInto(merged, p.Sketches[u])
-			}
-		}
-		out.Sketches[u] = merged
+		out.Sketches[u] = UnionSketch(graph.NodeID(u), live...)
 	})
 	return out, nil
 }
@@ -66,13 +62,23 @@ func UnionApproxSummaries(parts ...*ApproxSummaries) (*ApproxSummaries, error) {
 // UnionSketch returns the union of node u's sketches across the parts —
 // the per-node scatter-gather step a sharded query layer runs for each
 // seed. Parts that are nil or do not cover u contribute nothing; the
-// result is nil when no part holds a sketch for u, and is otherwise a
-// freshly built sketch the caller owns (the inputs are never mutated).
+// result is nil when no part holds a sketch for u, the part's own
+// sketch when exactly one does, and a freshly built union otherwise.
+// The inputs are never mutated, and the result is read-only.
 func UnionSketch(u graph.NodeID, parts ...*ApproxSummaries) *vhll.Sketch {
 	var merged *vhll.Sketch
+	owned := false
 	for _, p := range parts {
-		if p != nil && int(u) < p.NumNodes() {
-			merged = vhll.MergeInto(merged, p.Sketches[u])
+		if p == nil || int(u) >= p.NumNodes() || p.Sketches[u] == nil {
+			continue
+		}
+		switch sk := p.Sketches[u]; {
+		case merged == nil:
+			merged = sk
+		case !owned:
+			merged, owned = vhll.Union(merged, sk), true
+		default:
+			_ = merged.Merge(sk) // same-precision merge cannot fail
 		}
 	}
 	return merged

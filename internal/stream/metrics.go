@@ -23,6 +23,8 @@ const (
 	MetricCheckpointDur  = "stream_checkpoint_seconds"
 	MetricCheckpointAge  = "stream_checkpoint_age_seconds"
 	MetricCheckpointEdge = "stream_checkpoint_edges"
+	MetricPublishes      = "stream_publishes_total"
+	MetricPublishAge     = "stream_publish_age_seconds"
 
 	MetricWALDeletedSegs  = "stream_wal_deleted_segments_total"
 	MetricWALDeletedBytes = "stream_wal_deleted_bytes_total"
@@ -48,6 +50,7 @@ type metrics struct {
 	walRecords, walBytes, walSegments, walTrunc  *obs.Counter
 	walFsync                                     *obs.Histogram
 	chunks, checkpoints, checkpointSkips         *obs.Counter
+	publishes                                    *obs.Counter
 	checkpointDur                                *obs.Histogram
 	checkpointEdges                              *obs.Gauge
 	walDeleted, walDeletedBytes                  *obs.Counter
@@ -74,10 +77,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		walTrunc:            reg.Counter(MetricWALTruncated, "Torn-tail bytes truncated from the final segment during replay."),
 		walFsync:            reg.Histogram(MetricWALFsync, "WAL fsync latency in seconds.", nil),
 		chunks:              reg.Counter(MetricChunksSealed, "Sketch chunks sealed from pending edges."),
-		checkpoints:         reg.Counter(MetricCheckpoints, "Checkpoints folded, written, and published."),
-		checkpointSkips:     reg.Counter(MetricCheckpointSkip, "Interval checkpoints skipped because the compactor was busy."),
-		checkpointDur:       reg.Histogram(MetricCheckpointDur, "Checkpoint latency (fold + write + publish) in seconds.", nil),
-		checkpointEdges:     reg.Gauge(MetricCheckpointEdge, "Edges covered by the last published checkpoint."),
+		checkpoints:         reg.Counter(MetricCheckpoints, "Durable checkpoints folded, written, and published."),
+		checkpointSkips:     reg.Counter(MetricCheckpointSkip, "Interval checkpoints skipped because the previous checkpoint was still running."),
+		checkpointDur:       reg.Histogram(MetricCheckpointDur, "Durable checkpoint latency (fold + sidecar persist + write + retirement + publish) in seconds.", nil),
+		checkpointEdges:     reg.Gauge(MetricCheckpointEdge, "Edges covered by the last durable checkpoint."),
+		publishes:           reg.Counter(MetricPublishes, "Summary sets published: durable checkpoints plus the publishes between them."),
 		walDeleted:          reg.Counter(MetricWALDeletedSegs, "WAL segments deleted after their edges became durable in chunk sidecars."),
 		walDeletedBytes:     reg.Counter(MetricWALDeletedBytes, "Bytes reclaimed by deleting covered WAL segments."),
 		chunkFiles:          reg.Counter(MetricChunkFiles, "Chunk sidecar files written."),

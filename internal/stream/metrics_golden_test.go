@@ -100,6 +100,8 @@ func TestMetricsGoldenExposition(t *testing.T) {
 		"stream_edges_accepted_total counter",
 		"stream_edges_emitted_total counter",
 		"stream_parse_errors_total counter",
+		"stream_publish_age_seconds gauge",
+		"stream_publishes_total counter",
 		"stream_recovered_chunk_edges gauge",
 		"stream_recovered_wal_edges gauge",
 		"stream_reorder_depth gauge",
@@ -153,7 +155,7 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	for _, name := range []string{
 		MetricEdgesAccepted, MetricEdgesEmitted, MetricReorderDrops,
 		MetricDetieBumps, MetricWALRecords, MetricWALBytes, MetricWALSegments,
-		MetricChunksSealed, MetricCheckpoints, MetricCheckpointEdge,
+		MetricChunksSealed, MetricCheckpoints, MetricCheckpointEdge, MetricPublishes,
 		MetricChunkFiles, MetricChunkFileBytes, MetricDirSyncs,
 		MetricChunksRetired, MetricChunkRetiredBytes,
 		MetricSketchBytes, MetricTopkRefreshes, MetricTopkSize,

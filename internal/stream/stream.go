@@ -17,6 +17,17 @@
 // callback (wired to serve.Server.LoadApprox in process) so the serving
 // layer's generation-counted swap is the only handoff point.
 //
+// The compactor runs two kinds of job. A durable checkpoint (every
+// CheckpointEvery, on the edge trigger, forced, at recovery and at
+// Close) seals the pending batch, folds, persists sidecars, writes
+// checkpoint.irx and its metadata, publishes, and retires. Halfway
+// between two interval checkpoints a publish-only job folds the sealed
+// chunks plus a copy of the unsealed pending tail (core.ChunkView
+// FoldTail) and publishes it, writing nothing: the run loop fsyncs the
+// WAL through the tail first, so a published edge always survives a
+// crash. Stats.CoveredEdges follows every publish; the metadata file,
+// and Stats.DurableEdges, follow only durable checkpoints.
+//
 // Durability is two-tier. Chunk sidecars (chunkfile.go) persist each
 // sealed chunk's edges and block-local sketches the next time the
 // compactor runs, so recovery loads the sidecar prefix with
@@ -100,7 +111,7 @@ type Config struct {
 	// 0 disables them.
 	ProfileWindow int64
 	// TopK is the size of the continuously-maintained top-k influencer
-	// view refreshed at every checkpoint when ProfileWindow enables
+	// view refreshed at every publish when ProfileWindow enables
 	// profiles; 0 selects 10.
 	TopK int
 	// Retain, when > 0, bounds the retained history in ticks: at every
@@ -112,7 +123,8 @@ type Config struct {
 	// so Retain must be at least Omega or in-window queries would lose
 	// admissible edges. 0 keeps everything forever.
 	Retain int64
-	// Publish receives each folded checkpoint, in order. Wire it to
+	// Publish receives each folded summary set, in order: every durable
+	// checkpoint and every publish between them. Wire it to
 	// serve.Server.LoadApprox for in-process hot swap; nil means
 	// checkpoints are only written to disk. The summaries are shared
 	// with the ingester's fold cache (the base later incremental folds
@@ -144,9 +156,17 @@ type Stats struct {
 	Accepted     int64 // edges accepted from sources into the pipeline (drops excluded)
 	Emitted      int64 // edges past the watermark, logged and sealed/pending
 	ReorderDrops int64 // edges dropped for exceeding the slack
-	Checkpoints  int64 // checkpoints published
+	Checkpoints  int64 // durable checkpoints written and published
+	Publishes    int64 // summary sets handed to Publish: checkpoints plus the publishes between them
 	LastAt       int64 // latest emitted timestamp
-	CoveredEdges int64 // edges covered by the last published checkpoint
+
+	// CoveredEdges is the emit index of the last publish: what queries
+	// see. DurableEdges is the emit index of the last durable checkpoint,
+	// what checkpoint.meta.json records and recovery resumes from
+	// without a WAL replay. CoveredEdges >= DurableEdges; the gap is
+	// covered by the fsynced WAL.
+	CoveredEdges int64
+	DurableEdges int64
 
 	// RecoveredChunkEdges and RecoveredWALEdges split the startup
 	// recovery by source: edges rebuilt from durable chunk sidecars
@@ -166,12 +186,12 @@ type Stats struct {
 
 // HotView is one published snapshot of the continuously-maintained
 // top-k influencer view: the nodes with the largest sliding-window
-// out-neighborhood profiles as of the checkpoint that published it.
+// out-neighborhood profiles as of the publish that carried it.
 type HotView struct {
 	// Entries holds the top nodes with their estimated distinct
 	// out-neighbor counts, descending, ties broken by smaller NodeID.
 	Entries []swhll.TopEntry
-	// CoveredEdges is the emit index of the publishing checkpoint.
+	// CoveredEdges is the emit index of the publish.
 	CoveredEdges int64
 	// LastAt is the newest emitted timestamp the view covers.
 	LastAt int64
@@ -219,19 +239,25 @@ type Ingester struct {
 	durableChunks int // sealed chunks already persisted as sidecars
 	retiredFloor  int // lowest chunk sidecar index still on disk
 
-	// folds carries snapshots to the compactor goroutine; foldsPending
-	// counts submitted-but-unfinished jobs so triggers can skip without
-	// sealing while a fold is in flight.
+	// folds carries jobs to the compactor goroutine. foldsPending counts
+	// submitted-but-unfinished durable checkpoints, so interval and edge
+	// triggers can skip without sealing while one is in flight;
+	// tailsPending counts publish-only jobs, which a durable trigger
+	// queues behind (the one-slot buffer) instead of skipping.
 	folds        chan foldJob
 	foldsPending atomic.Int32
+	tailsPending atomic.Int32
 
 	accepted    atomic.Int64
 	emitted     atomic.Int64
 	drops       atomic.Int64
 	checkpoints atomic.Int64
+	publishes   atomic.Int64
 	lastAt      atomic.Int64
-	ckptEdges   atomic.Int64
-	lastCkpt    atomic.Int64 // unix nanos of the last publish
+	ckptEdges   atomic.Int64 // durable coverage: emit index of the last checkpoint
+	pubEdges    atomic.Int64 // published coverage: emit index of the last publish
+	lastCkpt    atomic.Int64 // unix nanos of the last durable checkpoint
+	lastPub     atomic.Int64 // unix nanos of the last publish
 	durableAt   atomic.Int64 // newest timestamp covered by durable sidecars
 	wmLag       atomic.Int64 // maxSeen − watermark, in ticks (health surface)
 	bufDepth    atomic.Int64 // reorder buffer depth (health surface)
@@ -245,16 +271,20 @@ type Ingester struct {
 	recoveredWALEdges   int64
 }
 
-// foldJob asks the compactor to fold one snapshot; done receives the
-// result exactly once. cause labels the trigger in the journal. hot is
-// the refreshed top-k view the run loop computed when it cut the
-// snapshot (nil when profiles are disabled); the compactor publishes it
-// alongside the checkpoint.
+// foldJob asks the compactor to fold one snapshot; done, when non-nil,
+// receives the result exactly once. cause labels the trigger in the
+// journal. hot is the refreshed top-k view the run loop computed when
+// it cut the snapshot (nil when profiles are disabled); the compactor
+// publishes it alongside the summaries. A publishOnly job folds view
+// plus tail, its own copy of the unsealed pending edges, and publishes
+// without writing anything; otherwise the job is a durable checkpoint.
 type foldJob struct {
-	view  core.ChunkView
-	hot   []swhll.TopEntry
-	cause string
-	done  chan error
+	view        core.ChunkView
+	tail        []graph.Interaction
+	publishOnly bool
+	hot         []swhll.TopEntry
+	cause       string
+	done        chan error
 }
 
 // advanceReq asks the run loop to advance the WAL fencing epoch — the
@@ -319,18 +349,21 @@ func New(cfg Config) (*Ingester, error) {
 		advance: make(chan advanceReq),
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
-		folds:   make(chan foldJob),
+		folds:   make(chan foldJob, 1),
 		buf:     newReorder(cfg.Slack, mx, cfg.Tracer),
 	}
-	// The checkpoint age is computed at exposition time: a push-style
-	// gauge can only report the age as of its last incidental update.
-	cfg.Registry.GaugeFunc(MetricCheckpointAge, "Seconds since the last published checkpoint.", func() int64 {
-		at := in.lastCkpt.Load()
-		if at == 0 {
+	// The ages are computed at exposition time: a push-style gauge can
+	// only report the age as of its last incidental update.
+	ageOf := func(at *atomic.Int64) func() int64 {
+		return func() int64 {
+			if ns := at.Load(); ns != 0 {
+				return int64(time.Since(time.Unix(0, ns)).Seconds())
+			}
 			return 0
 		}
-		return int64(time.Since(time.Unix(0, at)).Seconds())
-	})
+	}
+	cfg.Registry.GaugeFunc(MetricCheckpointAge, "Seconds since the last durable checkpoint.", ageOf(&in.lastCkpt))
+	cfg.Registry.GaugeFunc(MetricPublishAge, "Seconds since the last publish, durable or between checkpoints.", ageOf(&in.lastPub))
 	inc, err := core.NewIncrementalApprox(cfg.Omega, cfg.Precision, cfg.NumNodes)
 	if err != nil {
 		return nil, err
@@ -719,11 +752,17 @@ func (in *Ingester) run() {
 		defer idle.Stop()
 		idleC = idle.C
 	}
-	var tickC <-chan time.Time
+	// Each interval tick cuts a durable checkpoint and re-arms the tail
+	// timer, which publishes once more half an interval later.
+	var tickC, tailC <-chan time.Time
+	var tail *time.Timer
 	if in.cfg.CheckpointEvery > 0 {
 		tick := time.NewTicker(in.cfg.CheckpointEvery)
 		defer tick.Stop()
 		tickC = tick.C
+		tail = time.NewTimer(in.cfg.CheckpointEvery / 2)
+		defer tail.Stop()
+		tailC = tail.C
 	}
 	var out []graph.Interaction
 	fail := func(err error) {
@@ -749,13 +788,7 @@ func (in *Ingester) run() {
 				}
 			}
 			if idle != nil {
-				if !idle.Stop() {
-					select {
-					case <-idle.C:
-					default:
-					}
-				}
-				idle.Reset(in.cfg.IdleFlush)
+				rearm(idle, in.cfg.IdleFlush)
 			}
 			if err := in.absorb(out); err != nil {
 				fail(err)
@@ -777,11 +810,17 @@ func (in *Ingester) run() {
 				return
 			}
 		case <-tickC:
+			rearm(tail, in.cfg.CheckpointEvery/2)
 			if err := in.maybeCheckpoint(false, "interval"); err != nil {
 				fail(err)
 				return
 			}
 			if err := in.compactWAL(); err != nil {
+				fail(err)
+				return
+			}
+		case <-tailC:
+			if err := in.maybePublish(); err != nil {
 				fail(err)
 				return
 			}
@@ -875,6 +914,17 @@ func (in *Ingester) run() {
 			return
 		}
 	}
+}
+
+// rearm restarts t to fire after d, discarding a fire not yet received.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // take routes one arrival through the reorder buffer. Only edges the
@@ -1002,11 +1052,13 @@ func (in *Ingester) sealPending() error {
 
 // maybeCheckpoint seals the pending batch, makes the covered edges
 // durable, and hands the snapshot to the compactor. When the compactor
-// is still folding the previous snapshot, interval/edge triggers skip
-// (counted) — before sealing anything: a skipped trigger must not seal
-// the pending partial chunk, or every tick during a slow fold would
-// seal another tiny chunk and permanently fragment the chunk sequence.
-// Forced requests (wait=true) block until the fold lands.
+// is still running the previous durable checkpoint, interval/edge
+// triggers skip (counted) — before sealing anything: a skipped trigger
+// must not seal the pending partial chunk, or every tick during a slow
+// fold would seal another tiny chunk and permanently fragment the chunk
+// sequence. A publish-only job in flight never causes a skip: the job
+// queues behind it. Forced requests (wait=true) block until the
+// checkpoint lands.
 func (in *Ingester) maybeCheckpoint(wait bool, cause string) error {
 	if !wait && in.foldsPending.Load() > 0 {
 		in.mx.checkpointSkips.Inc()
@@ -1036,23 +1088,45 @@ func (in *Ingester) maybeCheckpoint(wait bool, cause string) error {
 		job.hot = in.profiles.TopEntries(in.cfg.TopK)
 	}
 	in.foldsPending.Add(1)
+	// Without wait, no durable checkpoint is in flight, so the one-slot
+	// buffer holds at most a publish-only job the compactor is about to
+	// take: the send does not wait for a fold.
+	in.folds <- job
+	in.sinceCkpt = 0
 	if wait {
-		in.folds <- job
-		if err := <-job.done; err != nil {
-			return err
-		}
-		in.sinceCkpt = 0
+		return <-job.done
+	}
+	return nil
+}
+
+// maybePublish hands the compactor a publish-only job: the sealed view
+// plus a copy of the unsealed pending tail, folded and published
+// without sealing, persisting or writing anything, so the chunk
+// sequence and the files on disk are exactly those of the durable
+// checkpoints alone. It fsyncs the WAL first — a publish never covers
+// an edge the log could still lose — and skips while any job is in
+// flight or when everything emitted is already published.
+func (in *Ingester) maybePublish() error {
+	if in.foldsPending.Load() > 0 || in.tailsPending.Load() > 0 || in.emitted.Load() == in.pubEdges.Load() {
 		return nil
 	}
-	select {
-	case in.folds <- job:
-		in.sinceCkpt = 0
-	default:
-		// The compactor had not reached its receive yet (it decrements
-		// between finishing a job and blocking again); treat as busy.
-		in.foldsPending.Add(-1)
-		in.mx.checkpointSkips.Inc()
+	if err := in.wal.Sync(); err != nil {
+		return fmt.Errorf("stream: publish wal sync: %w", err)
 	}
+	in.tr.StampThrough(trace.StageWALFsync, in.emitted.Load())
+	job := foldJob{
+		view:        in.inc.View(),
+		tail:        append([]graph.Interaction(nil), in.pending...),
+		publishOnly: true,
+		cause:       "tail",
+	}
+	if in.profiles != nil {
+		job.hot = in.profiles.TopEntries(in.cfg.TopK)
+	}
+	// Nothing is in flight, so the buffer is empty and the send is
+	// immediate.
+	in.tailsPending.Add(1)
+	in.folds <- job
 	return nil
 }
 
@@ -1060,36 +1134,47 @@ func (in *Ingester) maybeCheckpoint(wait bool, cause string) error {
 // skip: recovery publish and the final Close checkpoint.
 func (in *Ingester) checkpointNow(cause string) error { return in.maybeCheckpoint(true, cause) }
 
-// compactor folds snapshots into checkpoints, one at a time, in order.
+// compactor runs jobs one at a time, in order, so publishes never
+// regress: each job covers at least what the one before it covered.
 func (in *Ingester) compactor() {
 	for job := range in.folds {
-		err := in.checkpoint(job)
-		in.foldsPending.Add(-1)
-		job.done <- err
+		var err error
+		if job.publishOnly {
+			err = in.publishTail(job)
+			in.tailsPending.Add(-1)
+		} else {
+			err = in.checkpoint(job)
+			in.foldsPending.Add(-1)
+		}
+		if job.done != nil {
+			job.done <- err
+		}
 	}
 }
 
-// checkpoint persists the snapshot's new chunks as durable sidecars,
-// folds it (incrementally, against the cached previous fold), writes
-// the IRX1 snapshot and its metadata sidecar atomically, publishes, and
-// finally deletes the sidecars of chunks the snapshot retired. Runs on
-// the compactor goroutine; it touches no run-loop state beyond the
-// immutable view. Sidecars go first: once they are durable the
-// checkpoint may claim chunk coverage, and the run loop may delete the
-// WAL segments they cover. Retired-sidecar deletion goes last, after
-// the metadata recording the new retained range is durable — before
-// that, the files are still recovery's only proof the floor moved.
+// checkpoint folds the snapshot (incrementally, against the cached
+// previous fold), persists its new chunks as durable sidecars, writes
+// the IRX1 snapshot and its metadata sidecar atomically, deletes the
+// sidecars of chunks the snapshot retired, and publishes. Runs on the
+// compactor goroutine; it touches no run-loop state beyond the
+// immutable view. Sidecars go before the metadata: once they are
+// durable the checkpoint may claim chunk coverage, and the run loop may
+// delete the WAL segments they cover. Retired-sidecar deletion goes
+// after it, once the metadata recording the new retained range is
+// durable — before that, the files are still recovery's only proof the
+// floor moved. The metadata is written before Publish runs, so a
+// publish hook that reads it sees the checkpoint being published.
 func (in *Ingester) checkpoint(job foldJob) error {
 	view, cause := job.view, job.cause
 	start := time.Now()
 	covered := int64(view.EdgeCount())
+	in.tr.StampThrough(trace.StageFoldStart, covered)
+	sum := view.Fold()
+	foldDur := time.Since(start)
+	in.tr.StampThrough(trace.StageFold, covered)
 	if err := in.persistChunks(view); err != nil {
 		return err
 	}
-	foldStart := time.Now()
-	sum := view.Fold()
-	foldDur := time.Since(foldStart)
-	in.tr.StampThrough(trace.StageFold, covered)
 	if err := in.writeCheckpoint(sum, view, foldDur); err != nil {
 		return err
 	}
@@ -1097,6 +1182,54 @@ func (in *Ingester) checkpoint(job foldJob) error {
 	if err := in.retireSidecars(view); err != nil {
 		return err
 	}
+	in.publish(sum, job, covered, int64(view.LastAt()))
+	sketchBytes := int64(view.MemoryBytes())
+	in.sketchBytes.Store(sketchBytes)
+	in.mx.sketchBytes.Set(sketchBytes)
+	in.checkpoints.Add(1)
+	in.ckptEdges.Store(covered)
+	in.lastCkpt.Store(time.Now().UnixNano())
+	in.mx.checkpoints.Inc()
+	in.mx.checkpointDur.Observe(time.Since(start).Seconds())
+	in.mx.checkpointEdges.Set(covered)
+	in.jr.Record(trace.EventCheckpoint, cause, time.Since(start), map[string]any{
+		"edges": covered, "chunks": view.NumChunks(), "first_chunk": view.FirstChunk(),
+		"retired_edges": int64(view.RetiredEdges()), "fold_ms": float64(foldDur) / 1e6,
+	})
+	return nil
+}
+
+// publishTail folds a publish-only job — the sealed view plus its copy
+// of the unsealed tail — and publishes the result. It writes nothing:
+// the run loop fsynced the WAL through the tail before handing the job
+// over, and sidecars, checkpoint.irx, the metadata and retirement stay
+// on the durable path.
+func (in *Ingester) publishTail(job foldJob) error {
+	start := time.Now()
+	covered := int64(job.view.EdgeCount() + len(job.tail))
+	in.tr.StampThrough(trace.StageFoldStart, covered)
+	sum, err := job.view.FoldTail(job.tail)
+	if err != nil {
+		return fmt.Errorf("stream: tail fold: %w", err)
+	}
+	foldDur := time.Since(start)
+	in.tr.StampThrough(trace.StageFold, covered)
+	lastAt := int64(job.view.LastAt())
+	if n := len(job.tail); n > 0 {
+		lastAt = int64(job.tail[n-1].At)
+	}
+	in.publish(sum, job, covered, lastAt)
+	in.jr.Record(trace.EventPublish, job.cause, time.Since(start), map[string]any{
+		"edges": covered, "tail_edges": len(job.tail),
+		"retired_edges": int64(job.view.RetiredEdges()), "fold_ms": float64(foldDur) / 1e6,
+	})
+	return nil
+}
+
+// publish hands sum, covering the first covered emitted edges, to the
+// Publish callback, and only after it returns moves what readers see:
+// the top-k view, the published coverage and the publish clock.
+func (in *Ingester) publish(sum *core.ApproxSummaries, job foldJob, covered, lastAt int64) {
 	// Covered records are marked awaiting visibility before the handoff:
 	// the serving layer's generation swap stamps serve_visible, or
 	// FinishPublish completes them when nothing downstream will.
@@ -1109,26 +1242,16 @@ func (in *Ingester) checkpoint(job foldJob) error {
 		in.hot.Store(&HotView{
 			Entries:      job.hot,
 			CoveredEdges: covered,
-			LastAt:       int64(view.LastAt()),
+			LastAt:       lastAt,
 			RefreshedAt:  time.Now(),
 		})
 		in.mx.topkRefreshes.Inc()
 		in.mx.topkSize.Set(int64(len(job.hot)))
 	}
-	sketchBytes := int64(view.MemoryBytes())
-	in.sketchBytes.Store(sketchBytes)
-	in.mx.sketchBytes.Set(sketchBytes)
-	in.checkpoints.Add(1)
-	in.ckptEdges.Store(covered)
-	in.lastCkpt.Store(time.Now().UnixNano())
-	in.mx.checkpoints.Inc()
-	in.mx.checkpointDur.Observe(time.Since(start).Seconds())
-	in.mx.checkpointEdges.Set(covered)
-	in.jr.Record(trace.EventCheckpoint, cause, time.Since(start), map[string]any{
-		"edges": covered, "chunks": view.NumChunks(), "first_chunk": view.FirstChunk(),
-		"fold_ms": float64(foldDur) / 1e6,
-	})
-	return nil
+	in.pubEdges.Store(covered)
+	in.publishes.Add(1)
+	in.lastPub.Store(time.Now().UnixNano())
+	in.mx.publishes.Inc()
 }
 
 // persistChunks writes a sidecar for every sealed chunk the snapshot
@@ -1205,10 +1328,12 @@ func (in *Ingester) writeCheckpoint(sum *core.ApproxSummaries, view core.ChunkVi
 	return nil
 }
 
-// Checkpoint forces a synchronous checkpoint: it absorbs every edge
-// Push accepted before the call (edges still held by the reorder slack
-// stay buffered), seals the pending batch, folds, writes, and publishes
-// before returning. ctx bounds the wait.
+// Checkpoint forces a synchronous durable checkpoint: it absorbs every
+// edge Push accepted before the call (edges still held by the reorder
+// slack stay buffered), seals the pending batch, folds, writes, and
+// publishes before returning. It writes even when a publish between
+// checkpoints already covered everything, since durable coverage is
+// tracked apart from published coverage. ctx bounds the wait.
 func (in *Ingester) Checkpoint(ctx context.Context) error {
 	done := make(chan error, 1)
 	select {
@@ -1321,8 +1446,10 @@ func (in *Ingester) Stats() Stats {
 		Emitted:             in.emitted.Load(),
 		ReorderDrops:        in.drops.Load(),
 		Checkpoints:         in.checkpoints.Load(),
+		Publishes:           in.publishes.Load(),
 		LastAt:              in.lastAt.Load(),
-		CoveredEdges:        in.ckptEdges.Load(),
+		CoveredEdges:        in.pubEdges.Load(),
+		DurableEdges:        in.ckptEdges.Load(),
 		RecoveredChunkEdges: in.recoveredChunkEdges,
 		RecoveredWALEdges:   in.recoveredWALEdges,
 		RetiredChunks:       in.retiredChunks.Load(),
@@ -1331,10 +1458,11 @@ func (in *Ingester) Stats() Stats {
 }
 
 // Health returns the live pipeline state for the /debug/pipeline
-// endpoint: progress counters, watermark lag, reorder and intake depth,
-// checkpoint age, and the on-disk footprint of the WAL, the chunk
-// sidecars, and the checkpoint. Safe from any goroutine; the disk
-// numbers come from a directory listing, not run-loop state.
+// endpoint: progress counters, published and durable coverage,
+// watermark lag, reorder and intake depth, publish and checkpoint age,
+// and the on-disk footprint of the WAL, the chunk sidecars, and the
+// checkpoint. Safe from any goroutine; the disk numbers come from a
+// directory listing, not run-loop state.
 func (in *Ingester) Health() map[string]any {
 	st := in.Stats()
 	h := map[string]any{
@@ -1343,6 +1471,7 @@ func (in *Ingester) Health() map[string]any {
 		"reorder_drops":         st.ReorderDrops,
 		"checkpoints":           st.Checkpoints,
 		"covered_edges":         st.CoveredEdges,
+		"durable_edges":         st.DurableEdges,
 		"last_at":               st.LastAt,
 		"watermark_lag":         in.wmLag.Load(),
 		"reorder_depth":         in.bufDepth.Load(),
@@ -1355,6 +1484,9 @@ func (in *Ingester) Health() map[string]any {
 	}
 	if at := in.lastCkpt.Load(); at > 0 {
 		h["checkpoint_age_seconds"] = time.Since(time.Unix(0, at)).Seconds()
+	}
+	if at := in.lastPub.Load(); at > 0 {
+		h["publish_age_seconds"] = time.Since(time.Unix(0, at)).Seconds()
 	}
 	var walBytes, chunkBytes, ckptBytes int64
 	var walSegs, chunkFiles int
@@ -1389,7 +1521,7 @@ func (in *Ingester) Health() map[string]any {
 // Hot returns the k nodes with the largest sliding-window out-
 // neighborhood profiles, nil unless Config.ProfileWindow enabled them.
 // While the ingester runs it answers from the top-k view the compactor
-// published with the latest checkpoint (nil before the first one, and
+// published with the latest publish (nil before the first one, and
 // truncated to Config.TopK entries); after Close it reads the final
 // profile table directly — the run loop has exited, so the exact
 // end-of-run state is safe to walk.
@@ -1417,7 +1549,7 @@ func (in *Ingester) Hot(k int) []graph.NodeID {
 }
 
 // TopK returns the latest published top-k influencer view with scores
-// and provenance (which checkpoint, how fresh), nil before the first
-// checkpoint or when Config.ProfileWindow is zero. The snapshot is
+// and provenance (which publish, how fresh), nil before the first
+// publish or when Config.ProfileWindow is zero. The snapshot is
 // immutable; callers may retain it.
 func (in *Ingester) TopK() *HotView { return in.hot.Load() }

@@ -153,7 +153,7 @@ func TestTraceRecoveryExactlyOnce(t *testing.T) {
 			t.Fatalf("completed record %d missing serve_visible", rec.EmitIndex)
 		}
 		prev := int64(0)
-		for s := trace.StageAccept; s < trace.NumStages; s++ {
+		for _, s := range trace.PipelineOrder {
 			at := rec.Stamps[s]
 			if at == 0 {
 				continue

@@ -64,7 +64,7 @@ func viewOf(rec Record) RecordView {
 		EmitIndex: rec.EmitIndex, Outcome: string(rec.Outcome),
 	}
 	accept := rec.Stamps[StageAccept]
-	for s := StageAccept; s < NumStages; s++ {
+	for _, s := range PipelineOrder {
 		if at := rec.Stamps[s]; at != 0 {
 			v.Stages = append(v.Stages, StampView{Stage: s.String(), OffsetMs: float64(at-accept) / 1e6})
 		}
@@ -88,7 +88,7 @@ func (t *Tracer) Snapshot(recent int) TracerSnapshot {
 		return TracerSnapshot{}
 	}
 	snap := TracerSnapshot{SampleEvery: int(t.every), Counts: t.CountsNow()}
-	for s := StageReorderEmit; s < NumStages; s++ {
+	for _, s := range PipelineOrder[1:] {
 		snap.Stages = append(snap.Stages, StageLatency{Stage: s.String(), StageStats: statsOf(t.StageSnapshot(s))})
 	}
 	snap.EndToEnd = statsOf(t.EndToEndSnapshot())

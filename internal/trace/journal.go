@@ -35,6 +35,7 @@ const (
 	EventChunkPersist     = "chunk_persist"
 	EventChunkRetire      = "chunk_retire"
 	EventCheckpoint       = "checkpoint"
+	EventPublish          = "publish" // a publish between durable checkpoints
 	EventCompactionDelete = "compaction_delete"
 	EventRecovery         = "recovery"
 	EventSnapshotReload   = "snapshot_reload"

@@ -21,11 +21,18 @@
 //	reorder_emit     released past the watermark into the emitted sequence
 //	wal_append       written into the current WAL segment
 //	wal_fsync        covered by a WAL fsync (absent when fsync is disabled)
-//	chunk_seal       sealed into an immutable sketch chunk
+//	chunk_seal       sealed into an immutable sketch chunk (absent when
+//	                 a tail publish made the edge visible first)
+//	fold_start       the compactor started a job covering the edge
 //	fold             covered by a compactor fold
-//	checkpoint_write checkpoint.irx covering the edge is durable
+//	checkpoint_write checkpoint.irx covering the edge is durable (absent
+//	                 when a tail publish made the edge visible first)
 //	publish          handed to the Publish callback
 //	serve_visible    a serving generation including the edge is queryable
+//
+// Stage values are not in pipeline order — fold_start was appended after
+// serve_visible so the earlier stages kept their numbers — so everything
+// that walks a record in order walks PipelineOrder.
 //
 // Completed records feed per-stage latency histograms (each stage's
 // histogram observes the gap from the previous stamped stage), an
@@ -49,7 +56,10 @@ import (
 // Stage identifies one pipeline stage a trace record can be stamped at.
 type Stage uint8
 
-// Stages in pipeline order. NumStages bounds per-record stamp arrays.
+// Stages. NumStages bounds per-record stamp arrays. New stages are
+// appended, never inserted: stage values index stamp arrays and
+// histograms, and consumers outside this package address them by
+// number. PipelineOrder gives the order an edge crosses them.
 const (
 	StageAccept Stage = iota
 	StageReorderEmit
@@ -60,12 +70,22 @@ const (
 	StageCheckpointWrite
 	StagePublish
 	StageServeVisible
+	StageFoldStart
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"accept", "reorder_emit", "wal_append", "wal_fsync", "chunk_seal",
-	"fold", "checkpoint_write", "publish", "serve_visible",
+	"fold", "checkpoint_write", "publish", "serve_visible", "fold_start",
+}
+
+// PipelineOrder lists every stage in the order an edge crosses them,
+// accept first. Per-stage gaps, health payloads and anything else that
+// walks a record's stamps in time order iterate this table, not the
+// Stage values. Read-only.
+var PipelineOrder = [NumStages]Stage{
+	StageAccept, StageReorderEmit, StageWALAppend, StageWALFsync, StageChunkSeal,
+	StageFoldStart, StageFold, StageCheckpointWrite, StagePublish, StageServeVisible,
 }
 
 // String returns the snake_case stage name used in metric labels and
@@ -481,7 +501,7 @@ func (t *Tracer) retireLocked(rec *Record, outcome Outcome) {
 	}
 	prev := rec.Stamps[StageAccept]
 	last := prev
-	for s := StageReorderEmit; s < NumStages; s++ {
+	for _, s := range PipelineOrder[1:] {
 		at := rec.Stamps[s]
 		if at == 0 {
 			continue

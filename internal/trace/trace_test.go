@@ -21,9 +21,14 @@ func sampleOne(t *testing.T, tr *Tracer, e graph.Interaction) *Record {
 }
 
 func TestStageNames(t *testing.T) {
+	// Stage values are positional: a stage appended later keeps every
+	// earlier stage's number (consumers address histograms by value).
 	want := []string{
 		"accept", "reorder_emit", "wal_append", "wal_fsync", "chunk_seal",
-		"fold", "checkpoint_write", "publish", "serve_visible",
+		"fold", "checkpoint_write", "publish", "serve_visible", "fold_start",
+	}
+	if int(NumStages) != len(want) {
+		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}
 	for s := StageAccept; s < NumStages; s++ {
 		if s.String() != want[s] {
@@ -32,6 +37,22 @@ func TestStageNames(t *testing.T) {
 	}
 	if NumStages.String() != "invalid" {
 		t.Fatalf("out-of-range stage = %q", NumStages.String())
+	}
+	// The pipeline order an edge crosses them in: fold_start sits
+	// between chunk_seal and fold, and every stage appears exactly once.
+	order := []string{
+		"accept", "reorder_emit", "wal_append", "wal_fsync", "chunk_seal",
+		"fold_start", "fold", "checkpoint_write", "publish", "serve_visible",
+	}
+	seen := make(map[Stage]bool)
+	for i, s := range PipelineOrder {
+		if s.String() != order[i] {
+			t.Fatalf("PipelineOrder[%d] = %q, want %q", i, s.String(), order[i])
+		}
+		if seen[s] {
+			t.Fatalf("PipelineOrder repeats %q", s)
+		}
+		seen[s] = true
 	}
 }
 
@@ -96,6 +117,7 @@ func TestLifecycle(t *testing.T) {
 	tr.StampThrough(StageWALAppend, 1)
 	tr.StampThrough(StageWALFsync, 1)
 	tr.StampThrough(StageChunkSeal, 1)
+	tr.StampThrough(StageFoldStart, 1)
 	tr.StampThrough(StageFold, 1)
 	tr.StampThrough(StageCheckpointWrite, 1)
 	tr.BeginPublish(1)
@@ -115,7 +137,7 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("record identity = %+v", got)
 	}
 	prev := int64(0)
-	for s := StageAccept; s < NumStages; s++ {
+	for _, s := range PipelineOrder {
 		at := got.Stamps[s]
 		if at == 0 {
 			t.Fatalf("stage %s unstamped", s)

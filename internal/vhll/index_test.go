@@ -246,3 +246,62 @@ func TestSwitchStreamsCrossTheSwitchPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionMatchesCloneMerge: Union(a, b) encodes to the same bytes as
+// a.Clone() followed by Merge(b) — across sparse, dense and mixed-mode
+// pairs, pruned sources and disjoint or overlapping cells — keeps the
+// layout invariants, is as tight as a clone, leaves both inputs
+// untouched, and keeps doing so when the result is merged into again
+// (its arena starts full).
+func TestUnionMatchesCloneMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	random := func(p int) *Sketch {
+		s := MustNew(p)
+		items := []int{0, 1, 5, denseAbove, denseAbove + 1, 3 * denseAbove, 2000}[rng.Intn(7)]
+		universe := 1 + rng.Intn(4*items+1)
+		cur := int64(1 << 30)
+		for i := 0; i < items; i++ {
+			cur -= int64(rng.Intn(3))
+			s.AddHash(hll.Hash64(uint64(rng.Intn(universe))), cur)
+		}
+		if items > 0 && rng.Intn(4) == 0 {
+			s.Prune(cur, int64(1+rng.Intn(3*items+1)))
+		}
+		return s
+	}
+	for trial := 0; trial < 400; trial++ {
+		p := []int{4, 6, 9, 9, 11}[rng.Intn(5)]
+		a, b := random(p), random(p)
+		aBytes, bBytes := referenceMarshal(a), referenceMarshal(b)
+		want := a.Clone()
+		if err := want.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		got := Union(a, b)
+		if err := got.CheckInvariant(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !bytes.Equal(referenceMarshal(got), referenceMarshal(want)) {
+			t.Fatalf("trial %d (precision %d, %d ∪ %d entries): Union differs from Clone+Merge", trial, p, a.live, b.live)
+		}
+		if !bytes.Equal(referenceMarshal(a), aBytes) || !bytes.Equal(referenceMarshal(b), bBytes) {
+			t.Fatalf("trial %d: Union mutated an input", trial)
+		}
+		if cap(got.arena) != got.live || cap(got.regs) != len(got.regs) || cap(got.occupied) != len(got.occupied) {
+			t.Fatalf("trial %d: union not tight: arena %d/%d, %d/%d regions", trial, got.live, cap(got.arena), len(got.regs), cap(got.regs))
+		}
+		c := random(p)
+		if err := got.Merge(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Merge(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.CheckInvariant(); err != nil {
+			t.Fatalf("trial %d after a further merge: %v", trial, err)
+		}
+		if !bytes.Equal(referenceMarshal(got), referenceMarshal(want)) {
+			t.Fatalf("trial %d: a merge into the union diverged", trial)
+		}
+	}
+}

@@ -42,6 +42,7 @@ package vhll
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"ipin/internal/hll"
@@ -532,6 +533,74 @@ func MergeInto(dst, src *Sketch) *Sketch {
 		panic(err)
 	}
 	return dst
+}
+
+// Union returns a new sketch holding a ∪ b and mutates neither: the
+// one-pass form of a.Clone() followed by Merge(b), and as tight as a
+// clone. Each cell's union is written once, contiguously, where the
+// clone-then-merge pair copies a tight clone and then outgrows it,
+// relocating every cell the merge touches. The incremental fold merges
+// its delta into shared cached sketches this way. Both sketches must
+// share a precision; Union panics otherwise (see MergeInto).
+func Union(a, b *Sketch) *Sketch {
+	if a.precision != b.precision {
+		panic(fmt.Errorf("vhll: cannot union precision %d with %d", b.precision, a.precision))
+	}
+	mx := m()
+	mx.merges.Inc()
+	mx.mergeEntries.Add(int64(b.live))
+	cells := len(a.occupied)
+	for _, cell := range b.occupied {
+		if _, ok := a.locate(cell); !ok {
+			cells++
+		}
+	}
+	// Cell unions go to pooled scratch sized for both inputs; the result
+	// copies out exactly what survived dominance.
+	buf := unionScratch.Get().(*[]Entry)
+	scratch := slices.Grow((*buf)[:0], a.live+b.live)
+	u := &Sketch{
+		precision: a.precision,
+		regs:      make([]region, 0, cells),
+		occupied:  make([]uint32, 0, cells),
+	}
+	for k, cell := range a.occupied {
+		var other []Entry
+		if j, ok := b.locate(cell); ok {
+			other = b.cellEntries(j)
+		}
+		scratch = u.appendCell(scratch, cell, a.cellEntries(k), other)
+	}
+	for k, cell := range b.occupied {
+		if _, ok := a.locate(cell); !ok {
+			scratch = u.appendCell(scratch, cell, b.cellEntries(k), nil)
+		}
+	}
+	u.arena = make([]Entry, len(scratch))
+	copy(u.arena, scratch)
+	*buf = scratch
+	unionScratch.Put(buf)
+	return u
+}
+
+// unionScratch recycles Union's working arenas.
+var unionScratch = sync.Pool{New: func() any { return new([]Entry) }}
+
+// appendCell populates cell, new to s, with the union of staircases x
+// and y written at the end of arena, which must have room for both, and
+// returns the extended arena. Region offsets index arena.
+func (s *Sketch) appendCell(arena []Entry, cell uint32, x, y []Entry) []Entry {
+	off := len(arena)
+	n := len(x)
+	if len(y) == 0 {
+		arena = append(arena, x...)
+	} else {
+		n = unionStaircase(arena[off:off+len(x)+len(y)], x, y)
+		arena = arena[:off+n]
+	}
+	s.link(cell, region{off: uint32(off), n: uint16(n), c: uint16(n)})
+	s.live += n
+	return arena
 }
 
 // mergeCell folds one source staircase into a cell: the one at index k
