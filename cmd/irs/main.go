@@ -104,7 +104,7 @@ func main() {
 		if *save != "" {
 			saveSummaries(*save, s)
 		}
-		oracle = core.ExactOracle{S: s}
+		oracle = core.NewExactOracle(s)
 		top = func(k int) []graph.NodeID {
 			if *celf {
 				return core.TopKExactCELF(s, k)

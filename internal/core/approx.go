@@ -54,26 +54,37 @@ func ComputeApprox(l *graph.Log, omega int64, precision int) (*ApproxSummaries, 
 	for i := range hashes {
 		hashes[i] = hll.Hash64(uint64(i))
 	}
-	mx := m()
 	span := obs.NewSpan(sink(), "scan/approx")
-	edges := l.Interactions
+	summaries := scanApproxBlock(l.Interactions, s.Sketches, hashes, omega, precision, span)
+	span.Endf("%s edges, %s summaries, %s entries, %s",
+		obs.Count(int64(l.Len())), obs.Count(summaries), obs.Count(int64(s.EntryCount())), obs.Bytes(int64(s.MemoryBytes())))
+	return s, nil
+}
+
+// scanApproxBlock is Algorithm 3's per-edge step over one contiguous
+// edge slice, latest edge first, into sketches (one per node), with
+// hashes[v] the hash of node v. ComputeApprox runs it over the whole log,
+// and ComputeApproxParallel and the incremental builder over each time
+// block; span reports progress on the former and is nil elsewhere. It
+// returns the summaries created.
+func scanApproxBlock(edges []graph.Interaction, sketches []*vhll.Sketch, hashes []uint64, omega int64, precision int, span *obs.Span) (summaries int64) {
+	mx := m()
 	total := int64(len(edges))
-	var summaries int64
 	for i := len(edges) - 1; i >= 0; i-- {
 		e := edges[i]
 		mx.approxEdges.Inc()
 		if e.Src == e.Dst {
 			continue
 		}
-		sk := s.Sketches[e.Src]
+		sk := sketches[e.Src]
 		if sk == nil {
 			sk = vhll.MustNew(precision)
-			s.Sketches[e.Src] = sk
+			sketches[e.Src] = sk
 			summaries++
 			mx.approxSummaries.Inc()
 		}
 		sk.AddHash(hashes[e.Dst], int64(e.At))
-		if skV := s.Sketches[e.Dst]; skV != nil {
+		if skV := sketches[e.Dst]; skV != nil {
 			mx.approxMerges.Inc()
 			// Same-precision merge cannot fail.
 			_ = sk.MergeWindow(skV, int64(e.At), omega)
@@ -82,12 +93,10 @@ func ComputeApprox(l *graph.Log, omega int64, precision int) (*ApproxSummaries, 
 			// Entry and byte counts walk every sketch; they run only at
 			// the rate-limited progress checkpoints.
 			span.Progressf("%s/%s edges, %s summaries, %s",
-				obs.Count(done), obs.Count(total), obs.Count(summaries), obs.Bytes(int64(s.MemoryBytes())))
+				obs.Count(done), obs.Count(total), obs.Count(summaries), obs.Bytes(int64(payloadBytes(sketches))))
 		}
 	}
-	span.Endf("%s edges, %s summaries, %s entries, %s",
-		obs.Count(total), obs.Count(summaries), obs.Count(int64(s.EntryCount())), obs.Bytes(int64(s.MemoryBytes())))
-	return s, nil
+	return summaries
 }
 
 // errPrecision is the shared out-of-range precision error of the approx
@@ -134,9 +143,12 @@ func (s *ApproxSummaries) EntryCount() int {
 // quantity: EntryBytes per stored pair, independent of how a sketch lays
 // entries out in RAM). For actual retained bytes see vhll.MemoryBytes on
 // the individual sketches.
-func (s *ApproxSummaries) MemoryBytes() int {
+func (s *ApproxSummaries) MemoryBytes() int { return payloadBytes(s.Sketches) }
+
+// payloadBytes is the MemoryBytes of a sketch table.
+func payloadBytes(sketches []*vhll.Sketch) int {
 	n := 0
-	for _, sk := range s.Sketches {
+	for _, sk := range sketches {
 		if sk != nil {
 			n += sk.PayloadBytes()
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -235,5 +236,65 @@ func TestEmptyLog(t *testing.T) {
 	}
 	if got := s.SpreadExact([]graph.NodeID{0, 1, 2, 3}); got != 0 {
 		t.Fatalf("Spread = %d on empty log", got)
+	}
+}
+
+// exactMapScan is Algorithm 2 over map summaries, the scan the working
+// tables replaced, kept as the reference ComputeExact and
+// ComputeExactParallel are held to.
+func exactMapScan(l *graph.Log, omega int64) *ExactSummaries {
+	s := &ExactSummaries{Omega: omega, Phi: make([]map[graph.NodeID]graph.Time, l.NumNodes)}
+	for i := len(l.Interactions) - 1; i >= 0; i-- {
+		e := l.Interactions[i]
+		if e.Src == e.Dst {
+			continue
+		}
+		phiU := s.Phi[e.Src]
+		if phiU == nil {
+			phiU = make(map[graph.NodeID]graph.Time)
+			s.Phi[e.Src] = phiU
+		}
+		mapAdd(phiU, e.Dst, e.At)
+		for x, tx := range s.Phi[e.Dst] {
+			if x != e.Src && tx > e.At && int64(tx-e.At) < omega {
+				mapAdd(phiU, x, tx)
+			}
+		}
+	}
+	return s
+}
+
+func mapAdd(phi map[graph.NodeID]graph.Time, v graph.NodeID, t graph.Time) {
+	if old, ok := phi[v]; !ok || t < old {
+		phi[v] = t
+	}
+}
+
+// TestExactTableMatchesMap drives one working table and a map through
+// the same inserts, ids at both ends of the int32 range included, across
+// several growths.
+func TestExactTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var tb exactTable
+	want := map[graph.NodeID]graph.Time{}
+	ids := []graph.NodeID{0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	for i := 0; i < 5000; i++ {
+		v := graph.NodeID(rng.Intn(3000))
+		if i%7 == 0 {
+			v = ids[rng.Intn(len(ids))]
+		}
+		at := graph.Time(rng.Intn(1000))
+		_, had := want[v]
+		if got := tb.add(v, at); got == had {
+			t.Fatalf("add(%d) reported new=%v, map had it: %v", v, got, had)
+		}
+		mapAdd(want, v, at)
+	}
+	if tb.count != len(want) {
+		t.Fatalf("count %d, map %d", tb.count, len(want))
+	}
+	got := exactMaps([]exactTable{tb}, 1)[0]
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("table contents differ from the map")
 	}
 }

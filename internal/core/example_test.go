@@ -27,7 +27,7 @@ func Example() {
 	lambda, _ := s.Lambda(a, e)
 	fmt.Println("λ(a,e) =", lambda)
 
-	oracle := core.ExactOracle{S: s}
+	oracle := core.NewExactOracle(s)
 	fmt.Println("spread({a,e}) =", oracle.Spread([]graph.NodeID{a, e}))
 
 	seeds := core.TopKExact(s, 1)

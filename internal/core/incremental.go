@@ -235,7 +235,7 @@ func (inc *IncrementalApprox) AppendChunk(edges []graph.Interaction, numNodes in
 	}
 	span := obs.NewSpan(sink(), "scan/chunk")
 	locals := make([]*vhll.Sketch, numNodes)
-	scanApproxBlock(edges, locals, inc.hashes, inc.omega, inc.precision)
+	scanApproxBlock(edges, locals, inc.hashes, inc.omega, inc.precision, nil)
 	inc.seal(edges, locals)
 	span.Endf("%s edges sealed (chunk %d, %s total)",
 		obs.Count(int64(len(edges))), len(inc.chunks), obs.Count(int64(inc.edgeCount)))
@@ -717,7 +717,7 @@ func (v ChunkView) FoldTail(tail []graph.Interaction) (*ApproxSummaries, error) 
 		hashes = append(hashes, hll.Hash64(uint64(len(hashes))))
 	}
 	locals := make([]*vhll.Sketch, n)
-	scanApproxBlock(tail, locals, hashes, v.omega, v.precision)
+	scanApproxBlock(tail, locals, hashes, v.omega, v.precision, nil)
 	t := v
 	t.numNodes = n
 	t.edgeCount += len(tail)

@@ -34,31 +34,24 @@ type coverage interface {
 	add(u graph.NodeID)
 }
 
-// exactCoverage is the coverage over exact summaries.
+// exactCoverage is the coverage over exact summaries: rows of the CSR
+// index, with the covered set as a bitset. gain only reads the bitset,
+// so concurrent gain calls between adds are safe.
 type exactCoverage struct {
-	s       *ExactSummaries
-	covered map[graph.NodeID]struct{}
+	ix      *exactIndex
+	covered bitset
 }
 
 func newExactCoverage(s *ExactSummaries) *exactCoverage {
-	return &exactCoverage{s: s, covered: make(map[graph.NodeID]struct{})}
+	ix := newExactIndex(s, Parallelism())
+	return &exactCoverage{ix: ix, covered: newBitset(ix.width)}
 }
 
 func (c *exactCoverage) gain(u graph.NodeID) float64 {
-	g := 0
-	for v := range c.s.Phi[u] {
-		if _, ok := c.covered[v]; !ok {
-			g++
-		}
-	}
-	return float64(g)
+	return float64(c.covered.missing(c.ix.row(u)))
 }
 
-func (c *exactCoverage) add(u graph.NodeID) {
-	for v := range c.s.Phi[u] {
-		c.covered[v] = struct{}{}
-	}
-}
+func (c *exactCoverage) add(u graph.NodeID) { c.covered.add(c.ix.row(u)) }
 
 // approxCoverage is the coverage over collapsed sketches: the union is a
 // plain HyperLogLog, marginal gain is estimated by a clone-merge-estimate.
@@ -205,12 +198,8 @@ func greedyTopK(n, k int, size []float64, cov coverage, noisy bool) []graph.Node
 
 // TopKExact selects k seeds from exact summaries with Algorithm 4.
 func TopKExact(s *ExactSummaries, k int) []graph.NodeID {
-	n := s.NumNodes()
-	size := make([]float64, n)
-	for u := range size {
-		size[u] = float64(s.IRSSize(graph.NodeID(u)))
-	}
-	return greedyTopK(n, k, size, newExactCoverage(s), false)
+	cov := newExactCoverage(s)
+	return greedyTopK(s.NumNodes(), k, cov.ix.sizes(), cov, false)
 }
 
 // TopKApprox selects k seeds from sketch summaries with Algorithm 4.
@@ -384,12 +373,8 @@ func celfTopK(n, k int, size []float64, cov coverage) []graph.NodeID {
 
 // TopKExactCELF selects k seeds from exact summaries with lazy greedy.
 func TopKExactCELF(s *ExactSummaries, k int) []graph.NodeID {
-	n := s.NumNodes()
-	size := make([]float64, n)
-	for u := range size {
-		size[u] = float64(s.IRSSize(graph.NodeID(u)))
-	}
-	return celfTopK(n, k, size, newExactCoverage(s))
+	cov := newExactCoverage(s)
+	return celfTopK(s.NumNodes(), k, cov.ix.sizes(), cov)
 }
 
 // TopKApproxCELF selects k seeds from sketch summaries with lazy greedy.

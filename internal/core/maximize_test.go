@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ipin/internal/graph"
@@ -172,7 +174,7 @@ func TestOracleInterfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var oe Oracle = ExactOracle{S: exact}
+	var oe Oracle = NewExactOracle(exact)
 	var oa Oracle = NewApproxOracle(approx)
 	if oe.NumNodes() != 6 || oa.NumNodes() != 6 {
 		t.Fatal("NumNodes mismatch")
@@ -196,5 +198,121 @@ func TestOracleInterfaces(t *testing.T) {
 	}
 	if oa.InfluenceSize(c) != 0 {
 		t.Errorf("approx oracle sink influence = %.2f", oa.InfluenceSize(c))
+	}
+}
+
+// mapCoverage is the coverage over map summaries with a map union, the
+// layout the index and bitset replaced, kept as the reference exact
+// selection is held to.
+type mapCoverage struct {
+	s       *ExactSummaries
+	covered map[graph.NodeID]struct{}
+}
+
+func (c *mapCoverage) gain(u graph.NodeID) float64 {
+	g := 0
+	for v := range c.s.Phi[u] {
+		if _, ok := c.covered[v]; !ok {
+			g++
+		}
+	}
+	return float64(g)
+}
+
+func (c *mapCoverage) add(u graph.NodeID) {
+	for v := range c.s.Phi[u] {
+		c.covered[v] = struct{}{}
+	}
+}
+
+// TestExactIndexMatchesMapReference holds the index-backed oracle and
+// both exact selections to the map references: Spread equals
+// SpreadExact on random seed sets with duplicates, and greedy and CELF
+// pick the reference's seeds, ties and the zero-coverage fill included,
+// for k up to past n. The hand-built summaries name ids ≥ len(Phi),
+// which the public Phi allows.
+func TestExactIndexMatchesMapReference(t *testing.T) {
+	defer SetParallelism(0)
+	rng := rand.New(rand.NewSource(41))
+	cases := map[string]*ExactSummaries{
+		"empty": ComputeExact(graph.New(5), 5),
+		"hand-built": {Omega: 5, Phi: []map[graph.NodeID]graph.Time{
+			{7: 1, 9: 2, 200: 3},
+			nil,
+			{9: 3, 0: 1},
+			{1: 4},
+		}},
+		"stars": ComputeExact(starsLog(), 1),
+	}
+	for trial := 0; trial < 6; trial++ {
+		n := 20 + rng.Intn(100)
+		cases[fmt.Sprintf("random-%d", trial)] = ComputeExact(randomLog(rng, n, 8*n), int64(1+rng.Intn(4*n)))
+	}
+	for name, s := range cases {
+		for _, workers := range []int{1, 3} {
+			SetParallelism(workers)
+			o := NewExactOracle(s)
+			n := s.NumNodes()
+			if o.NumNodes() != n {
+				t.Fatalf("%s: NumNodes %d, want %d", name, o.NumNodes(), n)
+			}
+			for u := 0; u < n; u++ {
+				if got, want := o.InfluenceSize(graph.NodeID(u)), float64(s.IRSSize(graph.NodeID(u))); got != want {
+					t.Fatalf("%s: InfluenceSize(%d) = %v, want %v", name, u, got, want)
+				}
+			}
+			for q := 0; q < 50; q++ {
+				seeds := make([]graph.NodeID, rng.Intn(12))
+				for i := range seeds {
+					seeds[i] = graph.NodeID(rng.Intn(n))
+				}
+				if q%5 == 0 && len(seeds) > 1 {
+					seeds[1] = seeds[0]
+				}
+				if got, want := o.Spread(seeds), float64(s.SpreadExact(seeds)); got != want {
+					t.Fatalf("%s: Spread(%v) = %v, SpreadExact %v", name, seeds, got, want)
+				}
+			}
+			size := make([]float64, n)
+			for u := range size {
+				size[u] = float64(s.IRSSize(graph.NodeID(u)))
+			}
+			for _, k := range []int{1, 3, n, n + 4} {
+				want := greedyTopK(n, k, size, &mapCoverage{s: s, covered: map[graph.NodeID]struct{}{}}, false)
+				if got := TopKExact(s, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: TopKExact %v, map reference %v", name, k, got, want)
+				}
+				want = celfTopK(n, k, size, &mapCoverage{s: s, covered: map[graph.NodeID]struct{}{}})
+				if got := TopKExactCELF(s, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: TopKExactCELF %v, map reference %v", name, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExactSummariesCarryNoIndex pins that the query index lives in the
+// oracle and the selection calls, never on the summaries a caller
+// keeps: ExactSummaries is exactly Omega and Phi.
+func TestExactSummariesCarryNoIndex(t *testing.T) {
+	typ := reflect.TypeOf(ExactSummaries{})
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(fields, []string{"Omega", "Phi"}) {
+		t.Fatalf("ExactSummaries fields = %v, want [Omega Phi]", fields)
+	}
+}
+
+// TestExactSpreadAllocs is the allocation gate of the exact oracle: a
+// Spread query allocates its bitset and nothing else, so a map union
+// cannot creep back in.
+func TestExactSpreadAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	o := NewExactOracle(ComputeExact(randomLog(rng, 200, 3000), 500))
+	seeds := []graph.NodeID{3, 17, 42, 99, 150, 3}
+	if allocs := testing.AllocsPerRun(200, func() { _ = o.Spread(seeds) }); allocs > 1 {
+		t.Fatalf("ExactOracle.Spread allocates %.1f times per call, want ≤ 1", allocs)
 	}
 }

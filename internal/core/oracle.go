@@ -19,17 +19,28 @@ type Oracle interface {
 	Spread(seeds []graph.NodeID) float64
 }
 
-// ExactOracle adapts ExactSummaries to the Oracle interface.
-type ExactOracle struct{ S *ExactSummaries }
+// ExactOracle answers exact influence queries (paper §4.1) from a
+// compressed sparse row index over the summaries: a Spread query walks
+// the seeds' rows and marks their union in an n-bit bitset, its only
+// allocation.
+type ExactOracle struct{ ix *exactIndex }
+
+// NewExactOracle indexes the summaries of s into an oracle. The rows
+// fill across the worker pool configured with SetParallelism. The
+// oracle reads nothing of s afterwards, so later changes to s do not
+// reach it.
+func NewExactOracle(s *ExactSummaries) *ExactOracle {
+	return &ExactOracle{ix: newExactIndex(s, Parallelism())}
+}
 
 // NumNodes implements Oracle.
-func (o ExactOracle) NumNodes() int { return o.S.NumNodes() }
+func (o *ExactOracle) NumNodes() int { return len(o.ix.offsets) - 1 }
 
 // InfluenceSize implements Oracle.
-func (o ExactOracle) InfluenceSize(u graph.NodeID) float64 { return float64(o.S.IRSSize(u)) }
+func (o *ExactOracle) InfluenceSize(u graph.NodeID) float64 { return float64(len(o.ix.row(u))) }
 
 // Spread implements Oracle.
-func (o ExactOracle) Spread(seeds []graph.NodeID) float64 { return float64(o.S.SpreadExact(seeds)) }
+func (o *ExactOracle) Spread(seeds []graph.NodeID) float64 { return float64(o.ix.spread(seeds)) }
 
 // ApproxOracle adapts ApproxSummaries to the Oracle interface. It
 // collapses every node sketch once at construction, so each Spread query

@@ -68,8 +68,11 @@ func Parallelism() int { return par.Workers(int(defaultWorkers.Load())) }
 
 const (
 	// minParallelEdges gates the time-sliced scans: below this the
-	// per-block bookkeeping costs more than it saves.
-	minParallelEdges = 1 << 14
+	// per-block bookkeeping costs about what it saves. BenchmarkSliceFloor
+	// sets it: on enron-model logs at ω = 10%, two workers against one
+	// break even near 1,400 edges and gain 1.1–1.2× at 2,900 and
+	// 1.4–1.5× at 11,500.
+	minParallelEdges = 1 << 11
 	// spreadParallelMinSeeds gates the tree-merge union in Spread.
 	spreadParallelMinSeeds = 64
 )
@@ -95,23 +98,31 @@ func ComputeExactParallel(l *graph.Log, omega int64, workers int) *ExactSummarie
 	if workers < 2 || !sliceable(l, omega, workers) {
 		return ComputeExact(l, omega)
 	}
+	return computeExactSliced(l, omega, workers)
+}
+
+// computeExactSliced is ComputeExactParallel's time-sliced scan, without
+// the gate; the log must not be empty.
+func computeExactSliced(l *graph.Log, omega int64, workers int) *ExactSummaries {
 	span := obs.NewSpan(sink(), "scan/exact-par")
 	edges := l.Interactions
 	blocks := par.Blocks(len(edges), workers)
 
 	// Phase 1: block-local reverse scans, in parallel.
-	locals := par.Map(workers, len(blocks), func(b int) []map[graph.NodeID]graph.Time {
-		phi := make([]map[graph.NodeID]graph.Time, l.NumNodes)
-		scanExactBlock(edges[blocks[b].Lo:blocks[b].Hi], phi, omega)
-		return phi
+	locals := par.Map(workers, len(blocks), func(b int) []exactTable {
+		tabs := make([]exactTable, l.NumNodes)
+		scanExactBlock(edges[blocks[b].Lo:blocks[b].Hi], tabs, omega, nil)
+		return tabs
 	})
 	span.Progressf("%d block scans done (%s edges)", len(blocks), obs.Count(int64(len(edges))))
 
-	// Phase 2: sequential boundary stitch, latest block first.
-	s := &ExactSummaries{Omega: omega, Phi: locals[len(locals)-1]}
+	// Phase 2: sequential boundary stitch, latest block first. sum holds
+	// the finished summaries over the later blocks.
+	sum := locals[len(locals)-1]
 	for b := len(blocks) - 2; b >= 0; b-- {
 		boundary := edges[blocks[b+1].Lo].At
-		delta := make(map[graph.NodeID]map[graph.NodeID]graph.Time)
+		delta := make([]exactTable, l.NumNodes)
+		var buf []exactSlot
 		for i := blocks[b].Hi - 1; i >= blocks[b].Lo; i-- {
 			e := edges[i]
 			if int64(boundary-e.At) >= omega {
@@ -122,85 +133,24 @@ func ComputeExactParallel(l *graph.Log, omega int64, workers int) *ExactSummarie
 			if e.Src == e.Dst {
 				continue
 			}
-			phiV, dV := s.Phi[e.Dst], delta[e.Dst]
-			if phiV == nil && dV == nil {
-				continue
-			}
-			dU := delta[e.Src]
-			stitch := func(src map[graph.NodeID]graph.Time) {
-				for x, tx := range src {
-					if x != e.Src && tx > e.At && int64(tx-e.At) < omega {
-						if dU == nil {
-							dU = make(map[graph.NodeID]graph.Time)
-							delta[e.Src] = dU
-						}
-						add(dU, x, tx)
-					}
-				}
-			}
-			stitch(phiV)
-			stitch(dV)
+			dU := &delta[e.Src]
+			dU.mergeWindow(&sum[e.Dst], e.Src, e.At, omega, &buf)
+			dU.mergeWindow(&delta[e.Dst], e.Src, e.At, omega, &buf)
 		}
-		// Fold the block-local summaries and the propagated deltas into S.
-		// Each node's fold touches only its own slot (delta is read-only
-		// here), so the folds fan out across the workers; only the short
-		// boundary walk above is inherently sequential.
+		// Fold the block-local summaries and the propagated deltas into
+		// sum. Each node's fold touches only that node's tables, so the
+		// folds fan out across the workers; only the short boundary walk
+		// above is inherently sequential.
 		local := locals[b]
-		par.ForEach(workers, l.NumNodes, func(ui int) {
-			u := graph.NodeID(ui)
-			phi, d := local[u], delta[u]
-			dst := s.Phi[u]
-			if dst == nil {
-				if phi == nil {
-					if d != nil {
-						s.Phi[u] = d
-					}
-					return
-				}
-				s.Phi[u] = phi
-				dst = phi
-			} else if phi != nil {
-				for v, tv := range phi {
-					add(dst, v, tv)
-				}
-			}
-			for v, tv := range d {
-				add(dst, v, tv)
-			}
+		par.ForEach(workers, l.NumNodes, func(u int) {
+			sum[u].fold(&local[u])
+			sum[u].fold(&delta[u])
 		})
 	}
+	s := &ExactSummaries{Omega: omega, Phi: exactMaps(sum, workers)}
 	span.Endf("%s edges, %d blocks, %s entries",
 		obs.Count(int64(len(edges))), len(blocks), obs.Count(int64(s.EntryCount())))
 	return s
-}
-
-// scanExactBlock is the inner loop of ComputeExact over one contiguous
-// edge slice. It must mirror ComputeExact's per-edge processing exactly;
-// the byte-identity property test pins the two together.
-func scanExactBlock(edges []graph.Interaction, phi []map[graph.NodeID]graph.Time, omega int64) {
-	mx := m()
-	for i := len(edges) - 1; i >= 0; i-- {
-		e := edges[i]
-		mx.exactEdges.Inc()
-		if e.Src == e.Dst {
-			continue
-		}
-		phiU := phi[e.Src]
-		if phiU == nil {
-			phiU = make(map[graph.NodeID]graph.Time)
-			phi[e.Src] = phiU
-			mx.exactSummaries.Inc()
-		}
-		add(phiU, e.Dst, e.At)
-		if phiV := phi[e.Dst]; phiV != nil {
-			mx.exactMerges.Inc()
-			for x, tx := range phiV {
-				if x != e.Src && tx > e.At && int64(tx-e.At) < omega {
-					add(phiU, x, tx)
-				}
-			}
-		}
-	}
 }
 
 // ComputeApproxParallel is ComputeApprox over time-sliced blocks scanned
@@ -216,6 +166,13 @@ func ComputeApproxParallel(l *graph.Log, omega int64, precision, workers int) (*
 	if precision < hll.MinPrecision || precision > hll.MaxPrecision {
 		return nil, errPrecision(precision)
 	}
+	return computeApproxSliced(l, omega, precision, workers), nil
+}
+
+// computeApproxSliced is ComputeApproxParallel's time-sliced scan,
+// without the gate; the log must not be empty and precision must be
+// valid.
+func computeApproxSliced(l *graph.Log, omega int64, precision, workers int) *ApproxSummaries {
 	span := obs.NewSpan(sink(), "scan/approx-par")
 	edges := l.Interactions
 	blocks := par.Blocks(len(edges), workers)
@@ -229,7 +186,7 @@ func ComputeApproxParallel(l *graph.Log, omega int64, precision, workers int) (*
 	// Phase 1: block-local reverse scans, in parallel.
 	locals := par.Map(workers, len(blocks), func(b int) []*vhll.Sketch {
 		sketches := make([]*vhll.Sketch, l.NumNodes)
-		scanApproxBlock(edges[blocks[b].Lo:blocks[b].Hi], sketches, hashes, omega, precision)
+		scanApproxBlock(edges[blocks[b].Lo:blocks[b].Hi], sketches, hashes, omega, precision, nil)
 		return sketches
 	})
 	span.Progressf("%d block scans done (%s edges)", len(blocks), obs.Count(int64(len(edges))))
@@ -292,31 +249,5 @@ func ComputeApproxParallel(l *graph.Log, omega int64, precision, workers int) (*
 	}
 	span.Endf("%s edges, %d blocks, %s entries",
 		obs.Count(int64(len(edges))), len(blocks), obs.Count(int64(s.EntryCount())))
-	return s, nil
-}
-
-// scanApproxBlock is the inner loop of ComputeApprox over one contiguous
-// edge slice. It must mirror ComputeApprox's per-edge processing exactly;
-// the identity property test pins the two together.
-func scanApproxBlock(edges []graph.Interaction, sketches []*vhll.Sketch, hashes []uint64, omega int64, precision int) {
-	mx := m()
-	for i := len(edges) - 1; i >= 0; i-- {
-		e := edges[i]
-		mx.approxEdges.Inc()
-		if e.Src == e.Dst {
-			continue
-		}
-		sk := sketches[e.Src]
-		if sk == nil {
-			sk = vhll.MustNew(precision)
-			sketches[e.Src] = sk
-			mx.approxSummaries.Inc()
-		}
-		sk.AddHash(hashes[e.Dst], int64(e.At))
-		if skV := sketches[e.Dst]; skV != nil {
-			mx.approxMerges.Inc()
-			// Same-precision merge cannot fail.
-			_ = sk.MergeWindow(skV, int64(e.At), omega)
-		}
-	}
+	return s
 }

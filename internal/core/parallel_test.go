@@ -46,40 +46,72 @@ func approxBytes(t *testing.T, s *ApproxSummaries) []byte {
 	return buf.Bytes()
 }
 
-// TestComputeExactParallelMatchesSequential pins the time-sliced scan to
-// the sequential one: not just equivalent summaries, byte-identical
-// canonical encodings, across worker counts and window widths that force
-// heavy cross-block stitching.
+// TestComputeExactParallelMatchesSequential pins both exact scans to the
+// map reference: equal Phi and byte-identical canonical encodings, on
+// both sides of the slicing floor, across worker counts, windows from 1
+// tick to the whole span, tied stamps, self-loops, ids at the top of a
+// wide node range, and the empty log. Below the floor, and when ω spans
+// the log, the time-sliced scan also runs directly, past the gate.
 func TestComputeExactParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
+		name      string
 		n, m, tie int
-		omega     int64
+		top       int   // > 0: ids drawn from the top top ids of n
+		omega     int64 // 0: the log's whole span
 		workers   int
+		sliced    bool // ComputeExactParallel takes the time-sliced path
 	}{
-		{n: 150, m: minParallelEdges, tie: 1, omega: 40, workers: 2},
-		{n: 150, m: minParallelEdges, tie: 1, omega: 40, workers: 5},
-		{n: 60, m: minParallelEdges, tie: 1, omega: 200, workers: 3},
-		{n: 150, m: minParallelEdges, tie: 4, omega: 25, workers: 4},
+		{name: "floor", n: 150, m: minParallelEdges, tie: 1, omega: 40, workers: 2, sliced: true},
+		{name: "five-blocks", n: 150, m: 4 * minParallelEdges, tie: 1, omega: 40, workers: 5, sliced: true},
+		{name: "wide-window", n: 60, m: 4 * minParallelEdges, tie: 1, omega: 200, workers: 3, sliced: true},
+		{name: "ties", n: 150, m: 4 * minParallelEdges, tie: 4, omega: 25, workers: 4, sliced: true},
+		{name: "self-loops", n: 3, m: 2 * minParallelEdges, tie: 1, omega: 30, workers: 2, sliced: true},
+		{name: "omega-1", n: 40, m: 2 * minParallelEdges, tie: 1, omega: 1, workers: 2, sliced: true},
+		{name: "omega-span", n: 80, m: 2 * minParallelEdges, tie: 2, workers: 2},
+		{name: "top-ids", n: 1 << 16, m: 2 * minParallelEdges, tie: 1, top: 50, omega: 60, workers: 3, sliced: true},
+		{name: "below-floor", n: 60, m: minParallelEdges / 2, tie: 3, omega: 30, workers: 2},
+		{name: "empty", n: 5, omega: 10, workers: 2},
 	} {
 		l := bigRandomLog(rng, tc.n, tc.m, tc.tie)
-		if !sliceable(l, tc.omega, tc.workers) {
-			t.Fatalf("config %+v does not take the parallel path", tc)
+		if tc.top > 0 {
+			for i := range l.Interactions {
+				e := &l.Interactions[i]
+				e.Src = graph.NodeID(tc.n - 1 - rng.Intn(tc.top))
+				e.Dst = graph.NodeID(tc.n - 1 - rng.Intn(tc.top))
+			}
 		}
-		want := ComputeExact(l, tc.omega)
-		got := ComputeExactParallel(l, tc.omega, tc.workers)
-		if !reflect.DeepEqual(want.Phi, got.Phi) {
-			t.Fatalf("config %+v: parallel Phi differs from sequential", tc)
+		omega := tc.omega
+		if omega == 0 {
+			_, _, span := l.Span()
+			omega = span + 1
 		}
-		if !bytes.Equal(exactBytes(t, want), exactBytes(t, got)) {
-			t.Fatalf("config %+v: encodings differ", tc)
+		if got := sliceable(l, omega, tc.workers); got != tc.sliced {
+			t.Fatalf("%s: sliceable = %v, want %v", tc.name, got, tc.sliced)
+		}
+		want := exactMapScan(l, omega)
+		runs := map[string]*ExactSummaries{
+			"ComputeExact":         ComputeExact(l, omega),
+			"ComputeExactParallel": ComputeExactParallel(l, omega, tc.workers),
+		}
+		if !tc.sliced && l.Len() > 0 {
+			runs["computeExactSliced"] = computeExactSliced(l, omega, tc.workers)
+		}
+		for run, got := range runs {
+			if !reflect.DeepEqual(want.Phi, got.Phi) {
+				t.Fatalf("%s: %s Phi differs from the map reference", tc.name, run)
+			}
+			if !bytes.Equal(exactBytes(t, want), exactBytes(t, got)) {
+				t.Fatalf("%s: %s encoding differs from the map reference", tc.name, run)
+			}
 		}
 	}
 }
 
 // TestComputeApproxParallelMatchesSequential pins the sketch contents —
 // every (rank, timestamp) staircase, via the canonical encoding — of the
-// time-sliced scan to the sequential one.
+// time-sliced scan to the sequential one, on both sides of the slicing
+// floor; below it the time-sliced scan runs directly, past the gate.
 func TestComputeApproxParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
@@ -88,12 +120,13 @@ func TestComputeApproxParallelMatchesSequential(t *testing.T) {
 		workers   int
 	}{
 		{n: 150, m: minParallelEdges, tie: 1, omega: 40, workers: 2},
-		{n: 60, m: minParallelEdges, tie: 1, omega: 150, workers: 4},
-		{n: 150, m: minParallelEdges, tie: 3, omega: 30, workers: 3},
+		{n: 60, m: 4 * minParallelEdges, tie: 1, omega: 150, workers: 4},
+		{n: 150, m: 4 * minParallelEdges, tie: 3, omega: 30, workers: 3},
+		{n: 40, m: minParallelEdges / 2, tie: 1, omega: 20, workers: 2},
 	} {
 		l := bigRandomLog(rng, tc.n, tc.m, tc.tie)
-		if !sliceable(l, tc.omega, tc.workers) {
-			t.Fatalf("config %+v does not take the parallel path", tc)
+		if sliced := sliceable(l, tc.omega, tc.workers); sliced != (tc.m >= minParallelEdges) {
+			t.Fatalf("config %+v: sliceable = %v", tc, sliced)
 		}
 		want, err := ComputeApprox(l, tc.omega, DefaultPrecision)
 		if err != nil {
@@ -105,6 +138,10 @@ func TestComputeApproxParallelMatchesSequential(t *testing.T) {
 		}
 		if !bytes.Equal(approxBytes(t, want), approxBytes(t, got)) {
 			t.Fatalf("config %+v: sketch encodings differ", tc)
+		}
+		forced := computeApproxSliced(l, tc.omega, DefaultPrecision, tc.workers)
+		if !bytes.Equal(approxBytes(t, want), approxBytes(t, forced)) {
+			t.Fatalf("config %+v: forced time-sliced sketch encodings differ", tc)
 		}
 	}
 }

@@ -143,7 +143,7 @@ func (s *Server) LoadApprox(sum *core.ApproxSummaries) {
 // LoadExact installs exact summaries as the served snapshot.
 func (s *Server) LoadExact(sum *core.ExactSummaries) {
 	start := time.Now()
-	s.install(&snapshot{oracle: core.ExactOracle{S: sum}, exact: sum}, "load_exact", start)
+	s.install(&snapshot{oracle: core.NewExactOracle(sum), exact: sum}, "load_exact", start)
 }
 
 // Reload re-reads Config.SnapshotPath and swaps the result in atomically.
@@ -164,7 +164,7 @@ func (s *Server) Reload() error {
 		return fmt.Errorf("snapshot %s: %v", s.cfg.SnapshotPath, err)
 	}
 	if exact != nil {
-		s.install(&snapshot{oracle: core.ExactOracle{S: exact}, exact: exact}, "reload", start)
+		s.install(&snapshot{oracle: core.NewExactOracle(exact), exact: exact}, "reload", start)
 	} else {
 		s.install(&snapshot{oracle: core.NewApproxOracle(approx), approx: approx}, "reload", start)
 	}

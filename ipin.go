@@ -137,8 +137,9 @@ func ReadExactIRS(r io.Reader) (*ExactIRS, error) { return core.ReadExactSummari
 // (*ApproxIRS).WriteTo.
 func ReadApproxIRS(r io.Reader) (*ApproxIRS, error) { return core.ReadApproxSummaries(r) }
 
-// NewExactOracle wraps exact summaries as an influence oracle.
-func NewExactOracle(s *ExactIRS) Oracle { return core.ExactOracle{S: s} }
+// NewExactOracle indexes exact summaries into an influence oracle whose
+// Spread walks each seed's summary once, marking the union in a bitset.
+func NewExactOracle(s *ExactIRS) Oracle { return core.NewExactOracle(s) }
 
 // NewApproxOracle finalizes sketched summaries into an influence oracle
 // whose query cost is O(|seeds|·β), independent of the network size.
