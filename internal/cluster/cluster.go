@@ -25,11 +25,10 @@
 // stream, where sources and destinations are disjoint), the merged
 // answer is byte-identical to a single-node run over the whole stream,
 // for every shard count and every slot map — the property the identity
-// tests and the benchstream cluster phase gate. For streams with
-// cross-shard multi-hop channels the per-shard summaries remain exact
-// for each shard's substream, and the union is the documented
-// lower-bound composition; DESIGN.md "Cluster topology and shard
-// routing" is the normative statement of both cases.
+// tests gate. For streams with cross-shard multi-hop channels the
+// per-shard summaries remain exact for each shard's substream, and the
+// union is the documented lower-bound composition; DESIGN.md "Cluster
+// topology and shard routing" is the normative statement of both cases.
 //
 // # Wiring
 //

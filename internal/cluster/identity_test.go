@@ -254,6 +254,51 @@ func TestScatterGatherIdentitySkewed(t *testing.T) {
 	assertSameAnswers(t, "skewed map, cached", singleHandler(srv), fe)
 }
 
+// TestScatterGatherIdentityChunked repeats the identity at two shards
+// with 256-edge chunks and a checkpoint halfway: every shard then seals
+// several chunks, and its second fold runs against a warm fold cache, as
+// a live shard's folds do at the full chunk size.
+func TestScatterGatherIdentityChunked(t *testing.T) {
+	edges := bipartite(testEdges, 4, DefaultSlotMap(2), 0)
+	cfg := testStreamConfig()
+	cfg.ChunkEdges = 256
+	srv := serve.New(serve.Config{})
+	single := cfg
+	single.Dir, single.Publish = t.TempDir(), srv.LoadApprox
+	in, err := stream.New(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = in.Close(context.Background()) })
+	c, err := New(Config{Shards: 2, Dir: t.TempDir(), Stream: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close(context.Background()) })
+	for _, half := range [][]graph.Interaction{edges[:len(edges)/2], edges[len(edges)/2:]} {
+		for _, e := range half {
+			if err := in.Push(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, st := range c.ShardStats() {
+		if st.Checkpoints < 2 {
+			t.Fatalf("shard %d: %d checkpoints, want a cold and a warm fold", i, st.Checkpoints)
+		}
+	}
+	assertSameAnswers(t, "256-edge chunks", singleHandler(srv), NewFrontend(c.Gather()).Handler())
+}
+
 // TestOwnerSubstreamIdentity pins the normative per-shard guarantee on a
 // GENERAL stream (sources and destinations drawn from the same node
 // set, so cross-shard multi-hop channels exist): every shard's

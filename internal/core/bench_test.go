@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ipin/internal/gen"
 	"ipin/internal/graph"
@@ -253,6 +254,91 @@ func BenchmarkSliceFloor(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = computeApproxSliced(l, omega, DefaultPrecision, 2)
 			}
+		})
+	}
+}
+
+// uniformLog generates the uniform stream the CI perf gates run on:
+// edges interactions over nodes nodes, four ticks per edge, seed 1.
+func uniformLog(b *testing.B, nodes, edges int) *graph.Log {
+	l, err := gen.Generate(gen.Config{
+		Name: "uniform", Model: gen.ModelUniform, Nodes: nodes,
+		Interactions: edges, SpanTicks: 4 * int64(edges), Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
+// BenchmarkApproxScanRate is the sequential approx scan on 50,000
+// uniform edges over 4,000 nodes, ω = 1% of the span, reported as
+// edges/s. CI's perf job holds it at 100,000 edges/s or more, more than
+// ten times under what one core sustains, so only a real regression
+// trips it.
+func BenchmarkApproxScanRate(b *testing.B) {
+	l := uniformLog(b, 4000, 50_000)
+	omega := l.WindowFromPercent(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ComputeApprox(l, omega, DefaultPrecision); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(l.Len())/b.Elapsed().Seconds(), "edges/s")
+}
+
+// BenchmarkFoldSpeedup times a checkpoint fold with a warm cache against
+// the same fold from scratch. The stream is sealed in 16,384-edge chunks
+// with ω = 1% of the span; the warm fold finds every chunk but the last
+// in the cache, as a steady-state checkpoint does. Each iteration
+// builds both states untimed and folds each once, and the benchmark
+// reports full over incremental fold time as speedup. The shapes are the
+// uniform streams of CI's stream job (80,000 edges over 5,000 nodes),
+// where a full fold takes tens of milliseconds and CI's perf job asks
+// only 0.5, and of the recorded long run (500,000 edges over 20,000
+// nodes), where it asks 5.
+func BenchmarkFoldSpeedup(b *testing.B) {
+	const chunk = 1 << 14
+	for _, sh := range []struct{ nodes, edges int }{{5000, 80_000}, {20_000, 500_000}} {
+		b.Run(fmt.Sprintf("edges=%d", sh.edges), func(b *testing.B) {
+			l := uniformLog(b, sh.nodes, sh.edges)
+			l.Detie()
+			omega := l.WindowFromPercent(1)
+			last := (l.Len() - 1) / chunk * chunk // first edge of the final chunk
+			sealed := func(upto int) *IncrementalApprox {
+				inc, err := NewIncrementalApprox(omega, DefaultPrecision, l.NumNodes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < upto; lo += chunk {
+					if err := inc.AppendChunk(l.Interactions[lo:min(lo+chunk, upto)], l.NumNodes); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return inc
+			}
+			var incremental, full time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				warm := sealed(last)
+				warm.View().Fold()
+				if err := warm.AppendChunk(l.Interactions[last:], l.NumNodes); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				start := time.Now()
+				warm.View().Fold()
+				incremental += time.Since(start)
+				b.StopTimer()
+				cold := sealed(l.Len())
+				b.StartTimer()
+				start = time.Now()
+				cold.View().Fold()
+				full += time.Since(start)
+			}
+			b.ReportMetric(float64(full)/float64(incremental), "speedup")
 		})
 	}
 }

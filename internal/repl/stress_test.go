@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"ipin/internal/stream"
 )
 
-// TestCatchUpUnderFeedLoad is the benchstream kill-the-primary shape in
+// TestCatchUpUnderFeedLoad is TestKillThePrimary's catch-up in
 // miniature: the primary is fed the whole stream as fast as Push
 // accepts it while one replica follows and checkpoints by edge count —
 // so the replica falls behind, its session is dropped for backpressure,
@@ -20,34 +18,8 @@ import (
 // applied everything. The regression it pins is the catch-up path
 // converging under sustained overload, not just under the gentle pacing
 // of the other tests.
-//
-// REPL_STRESS_EDGES / REPL_STRESS_NODES / REPL_STRESS_OMEGA override
-// the stream shape for manual soak runs (larger shapes make each
-// replica fold slower than the primary's ack timeout, which is the
-// regime that exercises backpressure drops and re-attaches).
 func TestCatchUpUnderFeedLoad(t *testing.T) {
-	m, nodes, omega := 60_000, 2000, int64(20)
-	if s := os.Getenv("REPL_STRESS_EDGES"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			m = v
-		}
-	}
-	if s := os.Getenv("REPL_STRESS_NODES"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			nodes = v
-		}
-	}
-	if s := os.Getenv("REPL_STRESS_OMEGA"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			omega = v
-		}
-	}
-	precision := 4
-	if s := os.Getenv("REPL_STRESS_PRECISION"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			precision = v
-		}
-	}
+	const m, nodes, omega, precision = 60_000, 2000, int64(20), 4
 	rng := rand.New(rand.NewSource(11))
 	edges := testLog(rng, nodes, m)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)

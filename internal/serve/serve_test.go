@@ -47,7 +47,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func get(t *testing.T, h http.Handler, path string) (int, http.Header, string) {
+func get(t testing.TB, h http.Handler, path string) (int, http.Header, string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ipin/internal/core"
+	"ipin/internal/gen"
 	"ipin/internal/graph"
 	"ipin/internal/serve"
 )
@@ -32,6 +33,23 @@ func testLog(rng *rand.Rand, n, m int) []graph.Interaction {
 		}
 	}
 	return edges
+}
+
+// uniformLog is the uniform stream the CI-shaped tests run on: edges
+// interactions over nodes nodes, about four ticks per edge, seed 1, with
+// timestamps made strictly increasing so identity holds edge for edge
+// whatever the arrival order.
+func uniformLog(tb testing.TB, nodes, edges int) *graph.Log {
+	tb.Helper()
+	l, err := gen.Generate(gen.Config{
+		Name: "uniform", Model: gen.ModelUniform, Nodes: nodes,
+		Interactions: edges, SpanTicks: 4 * int64(edges), Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l.Detie()
+	return l
 }
 
 // offlineBytes runs the offline one-pass scan over the edges and

@@ -363,3 +363,98 @@ func TestRecoveryRebuildsTopKView(t *testing.T) {
 			after.CoveredEdges, after.LastAt, before.CoveredEdges, before.LastAt)
 	}
 }
+
+// TestRetentionPlateau runs bounded retention at the shape of CI's
+// stream job: 80,000 uniform edges over 5,000 nodes, ω = 1% and Retain
+// = 4% of the span, 256 KiB WAL segments, fed in four quarters with a
+// forced checkpoint after each. The stream grows 4× while the retained
+// history stays fixed, so from the second quarter to the last (the
+// first still carries history that retirement has not reached), sketch
+// RAM and the sidecar bytes left on disk may grow at most 1.5×. The
+// final checkpoint must be byte-identical to the offline scan over the
+// suffix its metadata claims is retained, and a window-restricted spread
+// must agree between the published summaries and that suffix scan.
+func TestRetentionPlateau(t *testing.T) {
+	const maxPlateau = 1.5
+	l := uniformLog(t, 5000, 80_000)
+	omega, retain := l.WindowFromPercent(1), l.WindowFromPercent(4)
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	var last *core.ApproxSummaries
+	in, err := New(Config{
+		Dir: dir, Omega: omega, NumNodes: l.NumNodes,
+		Retain: retain, ProfileWindow: omega,
+		CheckpointEvery: -1, IdleFlush: -1, SegmentBytes: 256 << 10,
+		Registry: reg,
+		// Close joins the compactor, so afterwards this holds the final
+		// checkpoint's summaries.
+		Publish: func(s *core.ApproxSummaries) { last = s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	type quarter struct{ edges, sketch, disk, retired int64 }
+	var qs []quarter
+	size := (l.Len() + 3) / 4
+	for q := 0; q < 4; q++ {
+		for _, e := range l.Interactions[q*size : min((q+1)*size, l.Len())] {
+			if err := in.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Checkpoint(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap, st := reg.Snapshot(), in.Stats()
+		qs = append(qs, quarter{
+			edges:   st.Emitted,
+			sketch:  snap[MetricSketchBytes].(int64),
+			disk:    snap[MetricChunkFileBytes].(int64) - snap[MetricChunkRetiredBytes].(int64),
+			retired: st.RetiredChunks,
+		})
+	}
+	if err := in.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if growth := float64(qs[3].edges) / float64(qs[0].edges); growth < 4 {
+		t.Fatalf("stream grew %.2f×, want at least 4×", growth)
+	}
+	if qs[3].retired < 1 {
+		t.Fatal("retention retired no chunk")
+	}
+	if r := float64(qs[3].sketch) / float64(qs[1].sketch); r > maxPlateau {
+		t.Fatalf("sketch bytes grew %.2f× from the second quarter to the last (%d → %d), above %.1f×",
+			r, qs[1].sketch, qs[3].sketch, maxPlateau)
+	}
+	if r := float64(qs[3].disk) / float64(qs[1].disk); r > maxPlateau {
+		t.Fatalf("sidecar bytes on disk grew %.2f× from the second quarter to the last (%d → %d), above %.1f×",
+			r, qs[1].disk, qs[3].disk, maxPlateau)
+	}
+
+	meta := readCheckpointMeta(dir)
+	if meta == nil || meta.Edges != int64(l.Len()) {
+		t.Fatalf("checkpoint metadata %+v, want %d edges", meta, l.Len())
+	}
+	suffix := &graph.Log{NumNodes: l.NumNodes, Interactions: l.Interactions[meta.RetiredEdges:]}
+	want, err := core.ComputeApprox(suffix, omega, core.DefaultPrecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(filepath.Join(dir, CheckpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt, summaryBytes(t, want)) {
+		t.Fatalf("final checkpoint differs from the offline scan over the retained edges[%d:]", meta.RetiredEdges)
+	}
+	if last == nil {
+		t.Fatal("nothing published")
+	}
+	seeds := []graph.NodeID{0, 1, 2}
+	at := int64(l.Interactions[l.Len()-1].At) - omega + 1
+	if got, exp := last.SpreadEstimateWindow(seeds, at, omega), want.SpreadEstimateWindow(seeds, at, omega); got != exp {
+		t.Fatalf("window spread of %v at %d: published %v, retained-suffix scan %v", seeds, at, got, exp)
+	}
+}

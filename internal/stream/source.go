@@ -25,7 +25,8 @@ import (
 // one bad producer should not stop the pipeline.
 
 // ParseEdge parses one "src dst time" line. It is exported for the
-// tools (gennet, benchstream) that speak the same wire format.
+// other readers of the wire format: the cluster's HTTP intake and the
+// ipin.ParseStreamEdge facade.
 func ParseEdge(line string) (graph.Interaction, error) {
 	var e graph.Interaction
 	var src, dst, at int64
