@@ -16,8 +16,19 @@ import (
 var (
 	buildOnce sync.Once
 	buildDir  string
+	buildOut  string // go build's output when it fails
 	buildErr  error
 )
+
+// TestMain removes the CLI build directory once every test has run,
+// whether or not the builds succeeded.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
 
 // buildCommands compiles the three CLIs once per test run.
 func buildCommands(t *testing.T) string {
@@ -30,14 +41,13 @@ func buildCommands(t *testing.T) string {
 		for _, cmd := range []string{"gennet", "irs", "experiments"} {
 			out, err := exec.Command("go", "build", "-o", filepath.Join(buildDir, cmd), "./cmd/"+cmd).CombinedOutput()
 			if err != nil {
-				buildErr = err
-				buildDir = string(out)
+				buildErr, buildOut = err, string(out)
 				return
 			}
 		}
 	})
 	if buildErr != nil {
-		t.Fatalf("building CLIs: %v (%s)", buildErr, buildDir)
+		t.Fatalf("building CLIs: %v (%s)", buildErr, buildOut)
 	}
 	return buildDir
 }

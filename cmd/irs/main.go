@@ -104,12 +104,10 @@ func main() {
 		if *save != "" {
 			saveSummaries(*save, s)
 		}
-		oracle = core.NewExactOracle(s)
-		top = func(k int) []graph.NodeID {
-			if *celf {
-				return core.TopKExactCELF(s, k)
-			}
-			return core.TopKExact(s, k)
+		o := core.NewExactOracle(s)
+		oracle, top = o, o.TopK
+		if *celf {
+			top = o.TopKCELF
 		}
 		fmt.Printf("exact summaries: %d entries, %d bytes\n", s.EntryCount(), s.MemoryBytes())
 	} else {
@@ -127,12 +125,10 @@ func main() {
 		if *save != "" {
 			saveSummaries(*save, s)
 		}
-		oracle = core.NewApproxOracle(s)
-		top = func(k int) []graph.NodeID {
-			if *celf {
-				return core.TopKApproxCELF(s, k)
-			}
-			return core.TopKApproxSeeds(s, k)
+		o := core.NewApproxOracle(s)
+		oracle, top = o, o.TopK
+		if *celf {
+			top = o.TopKCELF
 		}
 		fmt.Printf("sketches: β = %d, %d entries, %d bytes\n", 1<<s.Precision, s.EntryCount(), s.MemoryBytes())
 	}

@@ -45,7 +45,7 @@ func main() {
 			panic(err)
 		}
 		oracle := ipin.NewApproxOracle(irs)
-		seeds := ipin.TopKApprox(irs, k)
+		seeds := oracle.TopK(k)
 		results = append(results, result{pct: pct, seeds: seeds, spread: oracle.Spread(seeds)})
 
 		fmt.Printf("\nwindow = %g%% of the time span (ω = %d ticks)\n", pct, omega)

@@ -66,8 +66,8 @@ func main() {
 	fmt.Printf("\nspread({a})   = %.0f\n", oracle.Spread([]ipin.NodeID{a}))
 	fmt.Printf("spread({a,e}) = %.0f\n", oracle.Spread([]ipin.NodeID{a, e}))
 
-	// Top-k influencers via the greedy Algorithm 4.
-	seeds := ipin.TopKExact(exact, 2)
+	// Top-k influencers via the greedy Algorithm 4, on the oracle's index.
+	seeds := oracle.TopK(2)
 	fmt.Printf("\ntop-2 influencers: %s, %s\n", names[seeds[0]], names[seeds[1]])
 
 	// And a cascade simulation over the same network.

@@ -320,12 +320,12 @@ func (c *Ingester) TopK() *stream.HotView {
 // its owner shard — the same wire format as stream.Ingester.ReadFrom.
 // Parse errors are counted (cluster_parse_errors_total) and skipped.
 func (c *Ingester) ReadFrom(r io.Reader) (int64, error) {
-	return readLines(r, c.mx, c.Push)
+	return stream.ReadLines(r, c.mx.parseErrors, c.Push)
 }
 
 // Handler returns the HTTP intake handler: POSTed edge lines are routed
 // per line, the response reports how many were accepted — the same
 // contract as stream.Ingester.Handler.
 func (c *Ingester) Handler() http.Handler {
-	return intakeHandler(c.mx, c.Push)
+	return stream.IngestHandler(c.mx.parseErrors, c.Push)
 }

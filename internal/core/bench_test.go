@@ -342,3 +342,96 @@ func BenchmarkFoldSpeedup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkParallelSites times every parallel site left in the package
+// at one worker and at two, on exactShapes: the approx oracle's collapse,
+// approx top-10 on a built oracle (sizes and the first-round gains),
+// the exact oracle's index fill, the union of two summary sets split
+// two ways, and three folds of the log sealed as four equal chunks with
+// the rest as an unsealed tail: cold with no cache, warm with a cache
+// over the first three chunks, and of the tail against a cache over all
+// four.
+// The one- and two-worker pairs are the evidence that each site pays on
+// two cores.
+func BenchmarkParallelSites(b *testing.B) {
+	defer SetParallelism(0)
+	for _, sh := range exactShapes(b) {
+		approx, err := ComputeApprox(sh.log, sh.omega, DefaultPrecision)
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle := NewApproxOracle(approx)
+		exact := ComputeExact(sh.log, sh.omega)
+		edges, chunk := sh.log.Interactions, sh.log.Len()/5
+		// Two ways to split the log into the parts of a union: by source
+		// parity, as the cluster routes edges to shards, so every node's
+		// sketch lives in one part and the union shares it; and at the
+		// middle edge in time, so a node active in both halves has a
+		// sketch in each and the union merges them.
+		var shards, halves [2]*ApproxSummaries
+		for i := range shards {
+			l := graph.New(sh.log.NumNodes)
+			for _, e := range edges {
+				if int(e.Src)%2 == i {
+					l.Interactions = append(l.Interactions, e)
+				}
+			}
+			if shards[i], err = ComputeApprox(l, sh.omega, DefaultPrecision); err != nil {
+				b.Fatal(err)
+			}
+			l = graph.New(sh.log.NumNodes)
+			l.Interactions = edges[i*len(edges)/2 : (i+1)*len(edges)/2]
+			if halves[i], err = ComputeApprox(l, sh.omega, DefaultPrecision); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sealed := func(chunks int) *IncrementalApprox {
+			inc, err := NewIncrementalApprox(sh.omega, DefaultPrecision, sh.log.NumNodes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for c := 0; c < chunks; c++ {
+				if err := inc.AppendChunk(edges[c*chunk:(c+1)*chunk], sh.log.NumNodes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return inc
+		}
+		cold := sealed(4).View()
+		warmInc := sealed(3)
+		warmInc.View().Fold()
+		if err := warmInc.AppendChunk(edges[3*chunk:4*chunk], sh.log.NumNodes); err != nil {
+			b.Fatal(err)
+		}
+		warm := warmInc.View()
+		full := sealed(4).View()
+		full.Fold()
+		tail := edges[4*chunk:]
+		sites := []struct {
+			name string
+			run  func() error
+		}{
+			{"collapse", func() error { NewApproxOracle(approx); return nil }},
+			{"topk-approx", func() error { oracle.TopK(10); return nil }},
+			{"exact-index", func() error { NewExactOracle(exact); return nil }},
+			{"union-shards", func() error { _, err := UnionApproxSummaries(shards[:]...); return err }},
+			{"union-halves", func() error { _, err := UnionApproxSummaries(halves[:]...); return err }},
+			{"fold-cold", func() error { _, err := cold.FoldFrom(0); return err }},
+			{"fold-warm", func() error { warm.fold(false); return nil }},
+			{"fold-tail", func() error { _, err := full.FoldTail(tail); return err }},
+		}
+		for _, site := range sites {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, site.name, workers), func(b *testing.B) {
+					SetParallelism(workers)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := site.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ func Example() {
 	oracle := core.NewExactOracle(s)
 	fmt.Println("spread({a,e}) =", oracle.Spread([]graph.NodeID{a, e}))
 
-	seeds := core.TopKExact(s, 1)
+	seeds := oracle.TopK(1)
 	fmt.Println("top influencer:", seeds[0])
 	// Output:
 	// |σ(a)| = 4

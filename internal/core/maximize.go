@@ -10,20 +10,17 @@ import (
 	"ipin/internal/par"
 )
 
-// This file implements influence maximization on top of the IRS state:
-// the paper's Algorithm 4 (greedy marginal gain with a sorted-size early
-// exit) and, as an extension, the CELF lazy-greedy strategy of Leskovec et
-// al., which the paper cites as prior art. Both strategies work over the
-// exact summaries and over the sketches; the four entry points share one
-// greedy core through the coverage interface.
+// This file implements influence maximization on an oracle: the paper's
+// Algorithm 4 (greedy marginal gain with a sorted-size early exit) and,
+// as an extension, the CELF lazy-greedy strategy of Leskovec et al.,
+// which the paper cites as prior art. Both strategies read the table the
+// oracle answers queries from — the exact index, or the collapsed
+// sketches — through the coverage interface, so selection on a built
+// oracle redoes none of its construction.
 //
 // The maximization problem is NP-hard (paper Lemma 7) but the objective
 // |⋃ σω(u)| is monotone and submodular (Lemma 8), so greedy achieves the
 // usual (1−1/e) approximation.
-
-// celfBatchPerWorker sizes the speculative gain-prefetch batches in
-// celfTopK.
-const celfBatchPerWorker = 8
 
 // coverage tracks the running union ⋃_{u∈selected} σω(u) and answers
 // marginal-gain queries against it.
@@ -34,17 +31,12 @@ type coverage interface {
 	add(u graph.NodeID)
 }
 
-// exactCoverage is the coverage over exact summaries: rows of the CSR
+// exactCoverage is the coverage over an exact oracle: rows of its CSR
 // index, with the covered set as a bitset. gain only reads the bitset,
 // so concurrent gain calls between adds are safe.
 type exactCoverage struct {
 	ix      *exactIndex
 	covered bitset
-}
-
-func newExactCoverage(s *ExactSummaries) *exactCoverage {
-	ix := newExactIndex(s, Parallelism())
-	return &exactCoverage{ix: ix, covered: newBitset(ix.width)}
 }
 
 func (c *exactCoverage) gain(u graph.NodeID) float64 {
@@ -53,29 +45,13 @@ func (c *exactCoverage) gain(u graph.NodeID) float64 {
 
 func (c *exactCoverage) add(u graph.NodeID) { c.covered.add(c.ix.row(u)) }
 
-// approxCoverage is the coverage over collapsed sketches: the union is a
-// plain HyperLogLog, marginal gain is estimated by a clone-merge-estimate.
+// approxCoverage is the coverage over an approx oracle's collapsed
+// sketches: the union is a plain HyperLogLog, marginal gain is estimated
+// by a clone-merge-estimate.
 type approxCoverage struct {
 	collapsed []*hll.Sketch
-	precision int
 	union     *hll.Sketch
 	current   float64
-}
-
-func newApproxCoverage(s *ApproxSummaries) *approxCoverage {
-	c := &approxCoverage{
-		collapsed: make([]*hll.Sketch, s.NumNodes()),
-		precision: s.Precision,
-		union:     hll.MustNew(s.Precision),
-	}
-	// Collapsing walks every staircase entry of every sketch; each node is
-	// independent, so fan the flatten out across the worker pool.
-	par.ForEach(Parallelism(), len(s.Sketches), func(u int) {
-		if sk := s.Sketches[u]; sk != nil {
-			c.collapsed[u] = sk.Collapse()
-		}
-	})
-	return c
 }
 
 func (c *approxCoverage) gain(u graph.NodeID) float64 {
@@ -98,6 +74,51 @@ func (c *approxCoverage) add(u graph.NodeID) {
 	}
 	_ = c.union.Merge(c.collapsed[u])
 	c.current = c.union.Estimate()
+}
+
+// TopK implements Oracle with Algorithm 4 over the index.
+func (o *ExactOracle) TopK(k int) []graph.NodeID {
+	return greedyTopK(o.NumNodes(), k, o.ix.sizes(), o.coverage(), false)
+}
+
+// TopKCELF selects k seeds with CELF lazy greedy: the seeds TopK
+// selects, with fewer gain evaluations.
+func (o *ExactOracle) TopKCELF(k int) []graph.NodeID {
+	return celfTopK(o.NumNodes(), k, o.ix.sizes(), o.coverage())
+}
+
+// coverage returns an empty coverage over the index; each selection
+// call owns one, so concurrent selections share only read-only state.
+func (o *ExactOracle) coverage() *exactCoverage {
+	return &exactCoverage{ix: o.ix, covered: newBitset(o.ix.width)}
+}
+
+// TopK implements Oracle with Algorithm 4 over the collapsed sketches.
+// Their estimates are noisy, so greedy lifts the size bounds to the
+// observed first-round gains (see greedyTopK).
+func (o *ApproxOracle) TopK(k int) []graph.NodeID {
+	return greedyTopK(o.NumNodes(), k, o.sizes(), o.coverage(), true)
+}
+
+// TopKCELF selects k seeds with CELF lazy greedy over the collapsed
+// sketches.
+func (o *ApproxOracle) TopKCELF(k int) []graph.NodeID {
+	return celfTopK(o.NumNodes(), k, o.sizes(), o.coverage())
+}
+
+// sizes returns every node's estimated |σω(u)|, the greedy scan's size
+// order, estimating across the worker pool.
+func (o *ApproxOracle) sizes() []float64 {
+	size := make([]float64, o.NumNodes())
+	par.ForEach(Parallelism(), len(size), func(u int) {
+		size[u] = o.InfluenceSize(graph.NodeID(u))
+	})
+	return size
+}
+
+// coverage returns an empty coverage over the collapsed sketches.
+func (o *ApproxOracle) coverage() *approxCoverage {
+	return &approxCoverage{collapsed: o.collapsed, union: hll.MustNew(o.precision)}
 }
 
 // greedyTopK is Algorithm 4. Candidates are scanned in descending order of
@@ -196,37 +217,13 @@ func greedyTopK(n, k int, size []float64, cov coverage, noisy bool) []graph.Node
 	return selected
 }
 
-// TopKExact selects k seeds from exact summaries with Algorithm 4.
-func TopKExact(s *ExactSummaries, k int) []graph.NodeID {
-	cov := newExactCoverage(s)
-	return greedyTopK(s.NumNodes(), k, cov.ix.sizes(), cov, false)
-}
+// TopKExact selects k seeds from exact summaries with Algorithm 4, on an
+// oracle it builds for the call.
+func TopKExact(s *ExactSummaries, k int) []graph.NodeID { return NewExactOracle(s).TopK(k) }
 
-// TopKApprox selects k seeds from sketch summaries with Algorithm 4.
-func TopKApprox(s *ApproxSummaries) func(k int) []graph.NodeID {
-	// The collapse work is shared across calls with different k.
-	cov := newApproxCoverage(s)
-	n := s.NumNodes()
-	size := make([]float64, n)
-	par.ForEach(Parallelism(), n, func(u int) {
-		if cov.collapsed[u] != nil {
-			size[u] = cov.collapsed[u].Estimate()
-		}
-	})
-	return func(k int) []graph.NodeID {
-		fresh := &approxCoverage{
-			collapsed: cov.collapsed,
-			precision: cov.precision,
-			union:     hll.MustNew(cov.precision),
-		}
-		return greedyTopK(n, k, size, fresh, true)
-	}
-}
-
-// TopKApproxSeeds is the common single-shot form of TopKApprox.
-func TopKApproxSeeds(s *ApproxSummaries, k int) []graph.NodeID {
-	return TopKApprox(s)(k)
-}
+// TopKApproxSeeds selects k seeds from sketch summaries with Algorithm 4,
+// on an oracle it builds for the call.
+func TopKApproxSeeds(s *ApproxSummaries, k int) []graph.NodeID { return NewApproxOracle(s).TopK(k) }
 
 // celfItem is a heap entry carrying a possibly stale marginal gain.
 type celfItem struct {
@@ -243,10 +240,7 @@ func (h celfHeap) Len() int { return len(h) }
 // Less imposes a total order — gain desc, then individual size desc, then
 // node id asc — so the heap top is deterministic under ties. This is the
 // same tie rule as greedyTopK's size-sorted first-max scan, which keeps
-// the two strategies selecting identical seeds, and it makes the batched
-// parallel re-evaluation below order-insensitive: re-evaluating more
-// stale entries than the sequential pop order would have cannot change
-// which entry ends up on top.
+// the two strategies selecting identical seeds.
 func (h celfHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
@@ -271,23 +265,13 @@ func (h *celfHeap) Pop() interface{} {
 // Submodularity guarantees gains only shrink, so a re-evaluated top entry
 // that stays on top is the true maximizer. Returns the same seed quality
 // as Algorithm 4 with far fewer gain evaluations on large candidate sets.
-// When more than one worker is configured, re-evaluations are prefetched:
-// the top stale entries are popped together, their gains computed
-// concurrently, and the entries pushed back UNCHANGED with the values
-// kept in a per-round cache. The coverage is frozen between selections,
-// so a cached value is exactly what an inline evaluation would return,
-// and because the heap entries themselves are only updated when the
-// sequential pop order demands it, the refresh history — and therefore
-// every selection — is identical at any worker count, even for noisy
-// estimators whose re-evaluated gains can grow. The cache is dropped at
-// each selection, when the coverage advances.
+// The loop is sequential: each re-evaluation depends on the pop before
+// it, so the selection and the gain-evaluation count are the same at any
+// worker count.
 func celfTopK(n, k int, size []float64, cov coverage) []graph.NodeID {
 	mx := m()
 	span := obs.NewSpan(sink(), "select/celf")
 	gainEvals := int64(0)
-	workers := Parallelism()
-	batch := make([]celfItem, 0, workers*celfBatchPerWorker)
-	var prefetched map[graph.NodeID]float64
 	h := make(celfHeap, 0, n)
 	for u := 0; u < n; u++ {
 		if size[u] > 0 {
@@ -304,43 +288,15 @@ func celfTopK(n, k int, size []float64, cov coverage) []graph.NodeID {
 		if it.round == len(selected) {
 			cov.add(it.node)
 			selected = append(selected, it.node)
-			prefetched = nil // coverage advanced; cached gains are stale
 			mx.celfSeeds.Inc()
 			if span.Due() {
 				span.Progressf("%d/%d seeds, %s gain evaluations", len(selected), k, obs.Count(gainEvals))
 			}
 			continue
 		}
-		g, ok := prefetched[it.node]
-		if !ok && workers > 1 {
-			// Prefetch this entry and the next stale tops concurrently;
-			// push the extras back untouched.
-			batch = append(batch[:0], it)
-			for len(batch) < cap(batch) && h.Len() > 0 && h[0].round != len(selected) {
-				batch = append(batch, heap.Pop(&h).(celfItem))
-			}
-			gains := par.Map(workers, len(batch), func(i int) float64 {
-				return cov.gain(batch[i].node)
-			})
-			gainEvals += int64(len(batch))
-			mx.celfGainEvals.Add(int64(len(batch)))
-			if prefetched == nil {
-				prefetched = make(map[graph.NodeID]float64, cap(batch))
-			}
-			for i, b := range batch {
-				prefetched[b.node] = gains[i]
-			}
-			for _, b := range batch[1:] {
-				heap.Push(&h, b)
-			}
-			g, ok = gains[0], true
-		}
-		if !ok {
-			gainEvals++
-			mx.celfGainEvals.Inc()
-			g = cov.gain(it.node)
-		}
-		it.gain = g
+		gainEvals++
+		mx.celfGainEvals.Inc()
+		it.gain = cov.gain(it.node)
 		it.round = len(selected)
 		heap.Push(&h, it)
 	}
@@ -371,21 +327,10 @@ func celfTopK(n, k int, size []float64, cov coverage) []graph.NodeID {
 	return selected
 }
 
-// TopKExactCELF selects k seeds from exact summaries with lazy greedy.
-func TopKExactCELF(s *ExactSummaries, k int) []graph.NodeID {
-	cov := newExactCoverage(s)
-	return celfTopK(s.NumNodes(), k, cov.ix.sizes(), cov)
-}
+// TopKExactCELF selects k seeds from exact summaries with lazy greedy,
+// on an oracle it builds for the call.
+func TopKExactCELF(s *ExactSummaries, k int) []graph.NodeID { return NewExactOracle(s).TopKCELF(k) }
 
-// TopKApproxCELF selects k seeds from sketch summaries with lazy greedy.
-func TopKApproxCELF(s *ApproxSummaries, k int) []graph.NodeID {
-	cov := newApproxCoverage(s)
-	n := s.NumNodes()
-	size := make([]float64, n)
-	par.ForEach(Parallelism(), n, func(u int) {
-		if cov.collapsed[u] != nil {
-			size[u] = cov.collapsed[u].Estimate()
-		}
-	})
-	return celfTopK(n, k, size, cov)
-}
+// TopKApproxCELF selects k seeds from sketch summaries with lazy greedy,
+// on an oracle it builds for the call.
+func TopKApproxCELF(s *ApproxSummaries, k int) []graph.NodeID { return NewApproxOracle(s).TopKCELF(k) }

@@ -3,9 +3,11 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ipin/internal/graph"
+	"ipin/internal/obs"
 )
 
 // noisyCoverage simulates an estimator whose first-round gain exceeds the
@@ -51,9 +53,10 @@ func TestGreedyNoisyCoverageClampsEarlyExit(t *testing.T) {
 }
 
 // TestSelectionParallelismInvariant pins that the worker count never
-// changes which seeds any strategy selects: the chunked greedy evaluation
-// and the batched CELF re-evaluation must reproduce the sequential scan's
-// choices exactly.
+// changes which seeds any strategy selects: the parallel oracle builds
+// (index fill, collapse, size estimates) and greedy's parallel
+// first-round gains must reproduce the sequential choices exactly, on an
+// oracle built for the call and on one already built.
 func TestSelectionParallelismInvariant(t *testing.T) {
 	defer SetParallelism(0)
 	rng := rand.New(rand.NewSource(21))
@@ -65,11 +68,16 @@ func TestSelectionParallelismInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() [][]graph.NodeID {
+		eo, ao := NewExactOracle(es), NewApproxOracle(as)
 		return [][]graph.NodeID{
 			TopKExact(es, k),
 			TopKApproxSeeds(as, k),
 			TopKExactCELF(es, k),
 			TopKApproxCELF(as, k),
+			eo.TopK(k),
+			ao.TopK(k),
+			eo.TopKCELF(k),
+			ao.TopKCELF(k),
 		}
 	}
 	SetParallelism(1)
@@ -80,6 +88,78 @@ func TestSelectionParallelismInvariant(t *testing.T) {
 		for s := range want {
 			if !reflect.DeepEqual(want[s], got[s]) {
 				t.Fatalf("workers=%d strategy %d selected %v, sequential %v", workers, s, got[s], want[s])
+			}
+		}
+	}
+}
+
+// TestCELFGainEvaluationsWorkerInvariant pins the CELF gain-evaluation
+// counter to the evaluations the sequential lazy-greedy loop makes: the
+// same count at one and two workers, on exact and approx oracles.
+func TestCELFGainEvaluationsWorkerInvariant(t *testing.T) {
+	defer SetParallelism(0)
+	reg := obs.NewRegistry()
+	InstallMetrics(reg)
+	t.Cleanup(func() { InstallMetrics(nil) })
+	rng := rand.New(rand.NewSource(8))
+	l := randomLog(rng, 200, 2000)
+	es := ComputeExact(l, 100)
+	as, err := ComputeApprox(l, 100, DefaultPrecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = `ipin_select_gain_evaluations_total{strategy="celf"}`
+	evals := func(workers int, celf func() []graph.NodeID) int64 {
+		SetParallelism(workers)
+		before, _ := reg.Snapshot()[key].(int64)
+		celf()
+		after, _ := reg.Snapshot()[key].(int64)
+		return after - before
+	}
+	for name, celf := range map[string]func() []graph.NodeID{
+		"exact":  func() []graph.NodeID { return TopKExactCELF(es, 10) },
+		"approx": func() []graph.NodeID { return TopKApproxCELF(as, 10) },
+	} {
+		one, two := evals(1, celf), evals(2, celf)
+		if one == 0 || one != two {
+			t.Fatalf("%s: CELF gain evaluations %d at one worker, %d at two", name, one, two)
+		}
+	}
+}
+
+// TestConcurrentTopK runs selections with different k side by side on
+// one oracle of each kind, as serve does for distinct /topk requests,
+// and holds each to the seeds a sequential call selects. Run it with
+// -race: the calls share the oracle's table and nothing else.
+func TestConcurrentTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	l := randomLog(rng, 150, 1200)
+	as, err := ComputeApprox(l, 80, DefaultPrecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]Oracle{
+		"exact":  NewExactOracle(ComputeExact(l, 80)),
+		"approx": NewApproxOracle(as),
+	} {
+		ks := []int{1, 2, 3, 5, 8, 13}
+		want := make([][]graph.NodeID, len(ks))
+		for i, k := range ks {
+			want[i] = o.TopK(k)
+		}
+		got := make([][]graph.NodeID, len(ks))
+		var wg sync.WaitGroup
+		for i, k := range ks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = o.TopK(k)
+			}()
+		}
+		wg.Wait()
+		for i, k := range ks {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s k=%d: concurrent TopK %v, sequential %v", name, k, got[i], want[i])
 			}
 		}
 	}
@@ -97,33 +177,6 @@ func TestCELFMatchesGreedySeedForSeed(t *testing.T) {
 		celf := TopKExactCELF(es, 6)
 		if !reflect.DeepEqual(greedy, celf) {
 			t.Fatalf("trial %d: greedy %v != celf %v", trial, greedy, celf)
-		}
-	}
-}
-
-// TestSpreadParallelismInvariant pins the tree-merge union in
-// ApproxOracle.Spread to the sequential union — identical registers,
-// hence identical estimates, for seed sets past the parallel threshold.
-func TestSpreadParallelismInvariant(t *testing.T) {
-	defer SetParallelism(0)
-	rng := rand.New(rand.NewSource(5))
-	n := 3 * spreadParallelMinSeeds
-	l := randomLog(rng, n, 4000)
-	as, err := ComputeApprox(l, 80, DefaultPrecision)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewApproxOracle(as)
-	seeds := make([]graph.NodeID, n)
-	for i := range seeds {
-		seeds[i] = graph.NodeID(i)
-	}
-	SetParallelism(1)
-	want := o.Spread(seeds)
-	for _, workers := range []int{2, 4} {
-		SetParallelism(workers)
-		if got := o.Spread(seeds); got != want {
-			t.Fatalf("workers=%d: Spread = %v, sequential %v", workers, got, want)
 		}
 	}
 }

@@ -151,19 +151,21 @@ func TestTopKApproxMatchesExactOnSeparatedSizes(t *testing.T) {
 	}
 }
 
-func TestTopKApproxReusableSelector(t *testing.T) {
+// TestApproxOracleTopKReusable pins that one oracle answers selections
+// with different k, each starting from an empty coverage.
+func TestApproxOracleTopKReusable(t *testing.T) {
 	l := starsLog()
 	s, err := ComputeApprox(l, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := TopKApprox(s)
-	if got := sel(1); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("sel(1) = %v", got)
+	o := NewApproxOracle(s)
+	if got := o.TopK(1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("TopK(1) = %v", got)
 	}
 	// A second call with larger k starts fresh, not from leftover state.
-	if got := sel(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("sel(2) = %v", got)
+	if got := o.TopK(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("TopK(2) = %v", got)
 	}
 }
 
@@ -229,7 +231,8 @@ func (c *mapCoverage) add(u graph.NodeID) {
 // both exact selections to the map references: Spread equals
 // SpreadExact on random seed sets with duplicates, and greedy and CELF
 // pick the reference's seeds, ties and the zero-coverage fill included,
-// for k up to past n. The hand-built summaries name ids ≥ len(Phi),
+// for k up to past n, both on an oracle built for the call and on the
+// one already built. The hand-built summaries name ids ≥ len(Phi),
 // which the public Phi allows.
 func TestExactIndexMatchesMapReference(t *testing.T) {
 	defer SetParallelism(0)
@@ -282,9 +285,15 @@ func TestExactIndexMatchesMapReference(t *testing.T) {
 				if got := TopKExact(s, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s k=%d: TopKExact %v, map reference %v", name, k, got, want)
 				}
+				if got := o.TopK(k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: Oracle.TopK %v, map reference %v", name, k, got, want)
+				}
 				want = celfTopK(n, k, size, &mapCoverage{s: s, covered: map[graph.NodeID]struct{}{}})
 				if got := TopKExactCELF(s, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s k=%d: TopKExactCELF %v, map reference %v", name, k, got, want)
+				}
+				if got := o.TopKCELF(k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: ExactOracle.TopKCELF %v, map reference %v", name, k, got, want)
 				}
 			}
 		}
@@ -292,8 +301,8 @@ func TestExactIndexMatchesMapReference(t *testing.T) {
 }
 
 // TestExactSummariesCarryNoIndex pins that the query index lives in the
-// oracle and the selection calls, never on the summaries a caller
-// keeps: ExactSummaries is exactly Omega and Phi.
+// oracle, never on the summaries a caller keeps: ExactSummaries is
+// exactly Omega and Phi.
 func TestExactSummariesCarryNoIndex(t *testing.T) {
 	typ := reflect.TypeOf(ExactSummaries{})
 	var fields []string

@@ -8,8 +8,9 @@ import (
 
 // Oracle answers influence queries over precomputed IRS state: the size
 // (or estimated size) of the combined influence reachability set of an
-// arbitrary seed set (paper Definition 3). Implementations are cheap,
-// reusable views over ExactSummaries or ApproxSummaries.
+// arbitrary seed set (paper Definition 3), and the greedy seed set that
+// maximizes it. Implementations are cheap, reusable views over
+// ExactSummaries or ApproxSummaries, safe for concurrent use.
 type Oracle interface {
 	// NumNodes returns n, the number of nodes in the underlying network.
 	NumNodes() int
@@ -17,6 +18,9 @@ type Oracle interface {
 	InfluenceSize(u graph.NodeID) float64
 	// Spread returns |⋃_{u∈S} σω(u)| or its estimate.
 	Spread(seeds []graph.NodeID) float64
+	// TopK selects k seeds greedily (paper Algorithm 4) on the same
+	// table Spread reads.
+	TopK(k int) []graph.NodeID
 }
 
 // ExactOracle answers exact influence queries (paper §4.1) from a
@@ -75,31 +79,8 @@ func (o *ApproxOracle) InfluenceSize(u graph.NodeID) float64 {
 	return o.collapsed[u].Estimate()
 }
 
-// Spread implements Oracle. Large seed sets union in a tree: contiguous
-// seed ranges merge into partial unions concurrently, then the partials
-// fold together. HyperLogLog union is a cell-wise maximum — associative
-// and commutative — so the regrouping returns exactly the sequential
-// union's registers.
+// Spread implements Oracle.
 func (o *ApproxOracle) Spread(seeds []graph.NodeID) float64 {
-	workers := Parallelism()
-	if workers > 1 && len(seeds) >= spreadParallelMinSeeds {
-		blocks := par.Blocks(len(seeds), workers)
-		partials := par.Map(workers, len(blocks), func(b int) *hll.Sketch {
-			union := hll.MustNew(o.precision)
-			for _, u := range seeds[blocks[b].Lo:blocks[b].Hi] {
-				if sk := o.collapsed[u]; sk != nil {
-					// Same-precision merge cannot fail.
-					_ = union.Merge(sk)
-				}
-			}
-			return union
-		})
-		union := partials[0]
-		for _, p := range partials[1:] {
-			_ = union.Merge(p)
-		}
-		return union.Estimate()
-	}
 	union := hll.MustNew(o.precision)
 	for _, u := range seeds {
 		if sk := o.collapsed[u]; sk != nil {

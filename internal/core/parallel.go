@@ -50,8 +50,8 @@ import (
 // against the sequential scans on randomized logs.
 
 // Parallelism knob for the package's internal parallel paths (oracle
-// collapse, greedy gain evaluation, spread tree-merges). Zero (the
-// default) means GOMAXPROCS.
+// collapse and index fill, first-round greedy gains, summary unions,
+// folds). Zero (the default) means GOMAXPROCS.
 var defaultWorkers atomic.Int32
 
 // SetParallelism sets the worker count used by this package's parallel
@@ -66,16 +66,12 @@ func SetParallelism(n int) {
 // Parallelism reports the effective worker count.
 func Parallelism() int { return par.Workers(int(defaultWorkers.Load())) }
 
-const (
-	// minParallelEdges gates the time-sliced scans: below this the
-	// per-block bookkeeping costs about what it saves. BenchmarkSliceFloor
-	// sets it: on enron-model logs at ω = 10%, two workers against one
-	// break even near 1,400 edges and gain 1.1–1.2× at 2,900 and
-	// 1.4–1.5× at 11,500.
-	minParallelEdges = 1 << 11
-	// spreadParallelMinSeeds gates the tree-merge union in Spread.
-	spreadParallelMinSeeds = 64
-)
+// minParallelEdges gates the time-sliced scans: below this the
+// per-block bookkeeping costs about what it saves. BenchmarkSliceFloor
+// sets it: on enron-model logs at ω = 10%, two workers against one
+// break even near 1,400 edges and gain 1.1–1.2× at 2,900 and
+// 1.4–1.5× at 11,500.
+const minParallelEdges = 1 << 11
 
 // sliceable reports whether the log is worth time-slicing into blocks
 // for the given window: parallel blocks only pay off while ω is small

@@ -69,9 +69,9 @@ func ApproxStats(s *core.ApproxSummaries) Stats {
 }
 
 // snapshot is the single-node View: one loaded summary set and its
-// generation, never mutated after it is stored. /influence and /spread
-// read the oracle (per-node collapsed sketches, or the exact summary
-// maps); the other routes read the full summaries.
+// generation, never mutated after it is stored. /influence, /spread and
+// /topk read the oracle (per-node collapsed sketches, or the exact
+// index) built at install; the other routes read the full summaries.
 type snapshot struct {
 	gen    uint64
 	oracle core.Oracle
@@ -111,12 +111,7 @@ func (s *snapshot) SpreadWindow(seeds []graph.NodeID, at, horizon int64) (float6
 	return s.approx.SpreadEstimateWindow(seeds, at, horizon), nil
 }
 
-func (s *snapshot) TopK(k int) ([]graph.NodeID, error) {
-	if s.approx != nil {
-		return core.TopKApproxSeeds(s.approx, k), nil
-	}
-	return core.TopKExact(s.exact, k), nil
-}
+func (s *snapshot) TopK(k int) ([]graph.NodeID, error) { return s.oracle.TopK(k), nil }
 
 func (s *snapshot) Stats() (Stats, error) {
 	if s.approx != nil {

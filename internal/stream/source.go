@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ipin/internal/graph"
+	"ipin/internal/obs"
 )
 
 // Edge sources: thin adapters that turn bytes into Push calls. The wire
@@ -25,7 +26,6 @@ import (
 // one bad producer should not stop the pipeline.
 
 // ParseEdge parses one "src dst time" line. It is exported for the
-// other readers of the wire format: the cluster's HTTP intake and the
 // ipin.ParseStreamEdge facade.
 func ParseEdge(line string) (graph.Interaction, error) {
 	var e graph.Interaction
@@ -90,29 +90,46 @@ func field(s string) (int64, string, error) {
 	return v, s[i:], nil
 }
 
-// ReadFrom pushes every edge line read from r until EOF or the ingester
-// closes. It returns the number of accepted edges and the first
-// non-parse error (parse errors are counted and skipped).
-func (in *Ingester) ReadFrom(r io.Reader) (int64, error) {
+// ReadLines pushes every edge line read from r until EOF or a failed
+// push. It returns the number of accepted edges and the first push or
+// read error; malformed lines are counted on parseErrors and skipped.
+// Both the single ingester and the cluster read their feeds with it.
+func ReadLines(r io.Reader, parseErrors *obs.Counter, push func(graph.Interaction) error) (int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	var n int64
 	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		e, err := ParseEdge(line)
+		pushed, err := pushLine(sc.Text(), parseErrors, push)
 		if err != nil {
-			in.mx.parseErrors.Inc()
-			continue
-		}
-		if err := in.Push(e); err != nil {
 			return n, err
 		}
-		n++
+		if pushed {
+			n++
+		}
 	}
 	return n, sc.Err()
+}
+
+// pushLine parses one line of the wire format and pushes its edge,
+// reporting whether it did. Blank and '#' lines are skipped; a
+// malformed line is counted on parseErrors and skipped.
+func pushLine(line string, parseErrors *obs.Counter, push func(graph.Interaction) error) (bool, error) {
+	if line == "" || strings.HasPrefix(line, "#") {
+		return false, nil
+	}
+	e, err := ParseEdge(line)
+	if err != nil {
+		parseErrors.Inc()
+		return false, nil
+	}
+	return true, push(e)
+}
+
+// ReadFrom pushes every edge line read from r until EOF or the ingester
+// closes. It returns the number of accepted edges and the first
+// non-parse error (parse errors are counted and skipped).
+func (in *Ingester) ReadFrom(r io.Reader) (int64, error) {
+	return ReadLines(r, in.mx.parseErrors, in.Push)
 }
 
 // ServeTCP accepts connections on l and feeds each connection's lines
@@ -136,20 +153,21 @@ func (in *Ingester) ServeTCP(l net.Listener) error {
 	}
 }
 
-// Handler returns an HTTP handler accepting POSTed edge lines (any
-// content type; the body is the same line format). The response reports
-// how many edges were accepted:
+// IngestHandler returns an HTTP handler accepting POSTed edge lines
+// (any content type; the body is the same line format), read with
+// ReadLines. The response reports how many edges were accepted:
 //
 //	{"accepted": 128}
 //
-// A 503 with an error body signals the ingester is closed.
-func (in *Ingester) Handler() http.Handler {
+// A 503 with an error body signals a refused push, such as a closed
+// ingester; a method other than POST is answered 405.
+func IngestHandler(parseErrors *obs.Counter, push func(graph.Interaction) error) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, `{"error":"POST required"}`, http.StatusMethodNotAllowed)
 			return
 		}
-		n, err := in.ReadFrom(r.Body)
+		n, err := ReadLines(r.Body, parseErrors, push)
 		if err != nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -160,6 +178,9 @@ func (in *Ingester) Handler() http.Handler {
 		fmt.Fprintf(w, `{"accepted":%d}`+"\n", n)
 	})
 }
+
+// Handler returns the ingester's POST intake handler (IngestHandler).
+func (in *Ingester) Handler() http.Handler { return IngestHandler(in.mx.parseErrors, in.Push) }
 
 // TailFile follows path like tail -f: it pushes existing content (from
 // the start when fromStart, else only new data), then polls for
@@ -200,14 +221,8 @@ func (in *Ingester) TailFile(ctx context.Context, path string, fromStart bool) e
 				line = partial.String() + line
 				partial.Reset()
 			}
-			trimmed := strings.TrimRight(line, "\r\n")
-			if trimmed != "" && !strings.HasPrefix(trimmed, "#") {
-				e, perr := ParseEdge(trimmed)
-				if perr != nil {
-					in.mx.parseErrors.Inc()
-				} else if perr := in.Push(e); perr != nil {
-					return perr
-				}
+			if _, err := pushLine(strings.TrimRight(line, "\r\n"), in.mx.parseErrors, in.Push); err != nil {
+				return err
 			}
 			continue
 		}

@@ -22,7 +22,7 @@
 //
 //	irs, _ := ipin.ComputeApprox(net, net.WindowFromPercent(10), ipin.DefaultPrecision)
 //	oracle := ipin.NewApproxOracle(irs)
-//	seeds := ipin.TopKApprox(irs, 10)
+//	seeds := oracle.TopK(10)
 //	spread := oracle.Spread(seeds)
 //
 // The subpackages under internal/ carry the substrates (sketches, cascade
@@ -89,7 +89,8 @@ type (
 	ExactIRS = core.ExactSummaries
 	// ApproxIRS holds sketched per-node IRS summaries.
 	ApproxIRS = core.ApproxSummaries
-	// Oracle answers influence queries over either representation.
+	// Oracle answers influence queries, and selects top-k seeds on the
+	// same table, over either representation.
 	Oracle = core.Oracle
 	// HLL is a plain HyperLogLog sketch (the collapsed per-node summary).
 	HLL = hll.Sketch
@@ -125,8 +126,9 @@ func ComputeApproxParallel(n *Network, omega int64, precision, workers int) (*Ap
 }
 
 // SetParallelism fixes the worker count used by the library's internal
-// parallel phases — oracle collapse, first-round seed-selection gains,
-// large spread unions. Zero (the default) means GOMAXPROCS.
+// parallel phases — oracle collapse and index fill, first-round
+// seed-selection gains, summary unions, checkpoint folds. Zero (the
+// default) means GOMAXPROCS.
 func SetParallelism(workers int) { core.SetParallelism(workers) }
 
 // ReadExactIRS loads exact summaries previously saved with
