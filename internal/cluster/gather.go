@@ -210,12 +210,12 @@ func (v View) Influence(u graph.NodeID) float64 {
 	if sk == nil {
 		return 0
 	}
-	return sk.Collapse().Estimate()
+	return sk.Estimate()
 }
 
 // Spread estimates |⋃ σω(u)| over the seeds: per seed the shards'
-// sketches are unioned, collapsed, and folded into one HLL in seed
-// order — the exact operation order of the single-node store.
+// sketches are unioned and collapsed straight into one HLL, in seed
+// order — the cell-wise maximum the single-node store takes.
 func (v View) Spread(seeds []graph.NodeID) float64 {
 	v.g.mx.mergeQueries.Inc()
 	if !v.Ready() {
@@ -224,8 +224,7 @@ func (v View) Spread(seeds []graph.NodeID) float64 {
 	union := hll.MustNew(v.Precision())
 	for _, u := range seeds {
 		if sk := v.Sketch(u); sk != nil {
-			// Same-precision merge cannot fail.
-			_ = union.Merge(sk.Collapse())
+			sk.CollapseInto(union)
 		}
 	}
 	return union.Estimate()
@@ -241,7 +240,7 @@ func (v View) SpreadBy(seeds []graph.NodeID, deadline graph.Time) float64 {
 	union := hll.MustNew(v.Precision())
 	for _, u := range seeds {
 		if sk := v.Sketch(u); sk != nil {
-			_ = union.Merge(sk.CollapseBefore(int64(deadline)))
+			sk.CollapseBeforeInto(union, int64(deadline))
 		}
 	}
 	return union.Estimate()
@@ -259,7 +258,7 @@ func (v View) SpreadWindow(seeds []graph.NodeID, at, horizon int64) (float64, er
 	union := hll.MustNew(v.Precision())
 	for _, u := range seeds {
 		if sk := v.Sketch(u); sk != nil {
-			_ = union.Merge(sk.CollapseWindow(at, horizon))
+			sk.CollapseWindowInto(union, at, horizon)
 		}
 	}
 	return union.Estimate(), nil

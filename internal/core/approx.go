@@ -158,13 +158,13 @@ func payloadBytes(sketches []*vhll.Sketch) int {
 
 // SpreadEstimate estimates |⋃_{u∈S} σω(u)| by unioning the collapsed
 // sketches of the seeds (cell-wise maximum) and running the HyperLogLog
-// estimator once, exactly as described in paper §4.1.
+// estimator once, exactly as described in paper §4.1. Each seed's sketch
+// collapses straight into the union's registers.
 func (s *ApproxSummaries) SpreadEstimate(seeds []graph.NodeID) float64 {
 	union := hll.MustNew(s.Precision)
 	for _, u := range seeds {
 		if sk := s.Sketches[u]; sk != nil {
-			// Same-precision merge cannot fail.
-			_ = union.Merge(sk.Collapse())
+			sk.CollapseInto(union)
 		}
 	}
 	return union.Estimate()
@@ -197,8 +197,7 @@ func (s *ApproxSummaries) SpreadEstimateWindow(seeds []graph.NodeID, at, horizon
 	union := hll.MustNew(s.Precision)
 	for _, u := range seeds {
 		if sk := s.Sketches[u]; sk != nil {
-			// Same-precision merge cannot fail.
-			_ = union.Merge(sk.CollapseWindow(at, horizon))
+			sk.CollapseWindowInto(union, at, horizon)
 		}
 	}
 	return union.Estimate()

@@ -98,21 +98,39 @@ func BenchmarkFoldTail(b *testing.B) {
 	}
 }
 
-func BenchmarkOracleSpread100(b *testing.B) {
-	s, err := ComputeApprox(benchLog, 5000, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oracle := NewApproxOracle(s)
-	seeds := make([]graph.NodeID, 100)
-	for i := range seeds {
-		seeds[i] = graph.NodeID(i * 37 % benchLog.NumNodes)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = oracle.Spread(seeds)
+// BenchmarkOracleSpread times approx Spread queries on exactShapes: a
+// battery of 400 sets of 1–10 seeds, the batch workload's query mix, and
+// 400 sets of 32 seeds. One op is one query.
+func BenchmarkOracleSpread(b *testing.B) {
+	for _, sh := range exactShapes(b) {
+		s, err := ComputeApprox(sh.log, sh.omega, DefaultPrecision)
+		if err != nil {
+			b.Fatal(err)
+		}
+		oracle := NewApproxOracle(s)
+		rng := rand.New(rand.NewSource(1))
+		wide := make([][]graph.NodeID, 400)
+		for i := range wide {
+			wide[i] = make([]graph.NodeID, 32)
+			for j := range wide[i] {
+				wide[i][j] = graph.NodeID(rng.Intn(sh.log.NumNodes))
+			}
+		}
+		for name, sets := range map[string][][]graph.NodeID{
+			"seeds=1-10": spreadBattery(rng, sh.log.NumNodes, 400),
+			"seeds=32":   wide,
+		} {
+			b.Run(sh.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSpread = oracle.Spread(sets[i%len(sets)])
+				}
+			})
+		}
 	}
 }
+
+var benchSpread float64
 
 func BenchmarkTopKApprox50(b *testing.B) {
 	s, err := ComputeApprox(benchLog, 5000, 9)
@@ -147,7 +165,7 @@ type exactShape struct {
 // the batch workload (the enron model at scale 100, ω = 10% of its span)
 // and the streaming workloads' offline window (5,000 nodes, 65,536
 // uniform edges, ω = 32,768 ticks).
-func exactShapes(b *testing.B) []exactShape {
+func exactShapes(b testing.TB) []exactShape {
 	batch := enronLog(b, 100, 1)
 	window, err := gen.Generate(gen.Config{
 		Name: "window", Model: gen.ModelUniform, Nodes: 5000,
@@ -165,7 +183,7 @@ func exactShapes(b *testing.B) []exactShape {
 
 // enronLog generates one enron-model log at the given scale, with
 // distinct timestamps.
-func enronLog(b *testing.B, scale int, seed uint64) *graph.Log {
+func enronLog(b testing.TB, scale int, seed uint64) *graph.Log {
 	cfg, err := gen.Dataset("enron", scale)
 	if err != nil {
 		b.Fatal(err)
@@ -345,7 +363,7 @@ func BenchmarkFoldSpeedup(b *testing.B) {
 
 // BenchmarkParallelSites times every parallel site left in the package
 // at one worker and at two, on exactShapes: the approx oracle's collapse,
-// approx top-10 on a built oracle (sizes and the first-round gains),
+// approx top-10 on a built oracle (its size estimates),
 // the exact oracle's index fill, the union of two summary sets split
 // two ways, and three folds of the log sealed as four equal chunks with
 // the rest as an unsealed tail: cold with no cache, warm with a cache

@@ -42,13 +42,12 @@ func (s *ExactSummaries) InfluenceSizeBy(u graph.NodeID, deadline graph.Time) in
 
 // SpreadByEstimate estimates the deadline-bounded spread from the
 // sketches: per seed, the summary is collapsed to entries with timestamp
-// (= λ) at most deadline, then unioned cell-wise.
+// (= λ) at most deadline, straight into one cell-wise union.
 func (s *ApproxSummaries) SpreadByEstimate(seeds []graph.NodeID, deadline graph.Time) float64 {
 	union := hll.MustNew(s.Precision)
 	for _, u := range seeds {
 		if sk := s.Sketches[u]; sk != nil {
-			// Same-precision merge cannot fail.
-			_ = union.Merge(sk.CollapseBefore(int64(deadline)))
+			sk.CollapseBeforeInto(union, int64(deadline))
 		}
 	}
 	return union.Estimate()

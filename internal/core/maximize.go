@@ -46,8 +46,8 @@ func (c *exactCoverage) gain(u graph.NodeID) float64 {
 func (c *exactCoverage) add(u graph.NodeID) { c.covered.add(c.ix.row(u)) }
 
 // approxCoverage is the coverage over an approx oracle's collapsed
-// sketches: the union is a plain HyperLogLog, marginal gain is estimated
-// by a clone-merge-estimate.
+// sketches: the union is a plain HyperLogLog, and a marginal gain is the
+// estimate of the union merged with u's sketch, which writes nothing.
 type approxCoverage struct {
 	collapsed []*hll.Sketch
 	union     *hll.Sketch
@@ -58,10 +58,7 @@ func (c *approxCoverage) gain(u graph.NodeID) float64 {
 	if c.collapsed[u] == nil {
 		return 0
 	}
-	merged := c.union.Clone()
-	// Same-precision merge cannot fail.
-	_ = merged.Merge(c.collapsed[u])
-	g := merged.Estimate() - c.current
+	g := c.union.EstimateMerged(c.collapsed[u]) - c.current
 	if g < 0 {
 		g = 0
 	}
@@ -78,7 +75,7 @@ func (c *approxCoverage) add(u graph.NodeID) {
 
 // TopK implements Oracle with Algorithm 4 over the index.
 func (o *ExactOracle) TopK(k int) []graph.NodeID {
-	return greedyTopK(o.NumNodes(), k, o.ix.sizes(), o.coverage(), false)
+	return greedyTopK(o.NumNodes(), k, o.ix.sizes(), o.coverage())
 }
 
 // TopKCELF selects k seeds with CELF lazy greedy: the seeds TopK
@@ -94,10 +91,12 @@ func (o *ExactOracle) coverage() *exactCoverage {
 }
 
 // TopK implements Oracle with Algorithm 4 over the collapsed sketches.
-// Their estimates are noisy, so greedy lifts the size bounds to the
-// observed first-round gains (see greedyTopK).
+// A first-round gain estimates the empty union merged with u's sketch,
+// which is u's own sketch, so it equals size[u] bit for bit and the
+// early exit's bound holds in the first round as it does for exact
+// summaries (see greedyTopK).
 func (o *ApproxOracle) TopK(k int) []graph.NodeID {
-	return greedyTopK(o.NumNodes(), k, o.sizes(), o.coverage(), true)
+	return greedyTopK(o.NumNodes(), k, o.sizes(), o.coverage())
 }
 
 // TopKCELF selects k seeds with CELF lazy greedy over the collapsed
@@ -128,48 +127,22 @@ func (o *ApproxOracle) coverage() *approxCoverage {
 // remaining candidate adds coverage, the seed set is completed with the
 // largest-size unselected nodes so callers always receive k seeds.
 //
-// The early exit is sound only while size[u] upper-bounds every marginal
-// gain of u. That holds exactly for exact summaries (submodularity), but
-// an estimated coverage can report a first-round gain above its own size
-// estimate and the exit would then skip the true best candidate. Callers
-// with such a coverage pass noisy=true: every candidate's first-round
-// gain is evaluated once (in parallel), size[] is lifted to the observed
-// gains and re-sorted, making the bound consistent with the coverage's
-// own estimator. Later rounds can still, in principle, see an estimated
-// marginal gain above the lifted size — submodularity only bounds the
-// true gains — but that residue is second-order noise on an estimator
-// whose relative error is already ≈1/√β; the selection tolerance is
-// pinned by TestGreedyNoisyCoverageClampsEarlyExit.
-//
-// The pre-pass is also where the parallelism lives: the first round is
-// the only one that evaluates a gain per candidate (later rounds are
-// pruned hard by the early exit), its evaluations are independent reads
-// against an empty union, and each lands in its own clamped[] slot, so
-// the result is bit-identical at every worker count.
-func greedyTopK(n, k int, size []float64, cov coverage, noisy bool) []graph.NodeID {
+// The early exit is sound while size[u] bounds every marginal gain of u.
+// That holds exactly for exact summaries (submodularity). For the
+// collapsed sketches it holds in the first round, whose gains are the
+// sizes themselves (ApproxOracle.TopK); later rounds can, in principle,
+// see an estimated marginal gain above the size — submodularity only
+// bounds the true gains — but that residue is second-order noise on an
+// estimator whose relative error is already ≈1/√β.
+func greedyTopK(n, k int, size []float64, cov coverage) []graph.NodeID {
 	mx := m()
 	span := obs.NewSpan(sink(), "select/greedy")
 	gainEvals := int64(0)
-	workers := Parallelism()
 	order := make([]graph.NodeID, n)
 	for i := range order {
 		order[i] = graph.NodeID(i)
 	}
 	sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
-
-	if noisy && n > 0 {
-		clamped := make([]float64, n)
-		copy(clamped, size)
-		par.ForEach(workers, n, func(u int) {
-			if g := cov.gain(graph.NodeID(u)); g > clamped[u] {
-				clamped[u] = g
-			}
-		})
-		gainEvals += int64(n)
-		mx.greedyGainEvals.Add(int64(n))
-		size = clamped
-		sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
-	}
 
 	if k > n {
 		k = n

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,53 +11,31 @@ import (
 	"ipin/internal/obs"
 )
 
-// noisyCoverage simulates an estimator whose first-round gain exceeds the
-// caller-provided individual size for some nodes — the condition under
-// which Algorithm 4's sorted-size early exit is unsound.
-type noisyCoverage struct {
-	gain1 []float64
-	added []graph.NodeID
-}
-
-func (c *noisyCoverage) gain(u graph.NodeID) float64 {
-	g := c.gain1[u]
-	// Gains collapse after the first selection; only the first pick matters.
-	for range c.added {
-		g /= 16
-	}
-	return g
-}
-
-func (c *noisyCoverage) add(u graph.NodeID) { c.added = append(c.added, u) }
-
-// TestGreedyNoisyCoverageClampsEarlyExit is the regression test for the
-// early-exit bug: node 2's real first-round gain (20) exceeds its size
-// estimate (1), so the unclamped scan evaluates node 0 (gain 10), sees
-// bestGain ≥ size[1] and exits without ever evaluating node 2. With
-// noisy=true the pre-pass lifts size[2] to the observed gain and node 2
-// wins the first round.
-func TestGreedyNoisyCoverageClampsEarlyExit(t *testing.T) {
-	size := []float64{10, 5, 1}
-	cov := &noisyCoverage{gain1: []float64{10, 5, 20}}
-	seeds := greedyTopK(3, 1, size, cov, true)
-	if len(seeds) != 1 || seeds[0] != 2 {
-		t.Fatalf("noisy greedy selected %v, want [2]", seeds)
-	}
-	// Demonstrate the bug the clamp fixes: the same coverage under the
-	// unclamped scan picks the wrong node. This pins the failure mode so
-	// the test fails on the old behaviour.
-	cov = &noisyCoverage{gain1: []float64{10, 5, 20}}
-	seeds = greedyTopK(3, 1, size, cov, false)
-	if len(seeds) != 1 || seeds[0] != 0 {
-		t.Fatalf("unclamped greedy selected %v; the early-exit premise changed, revisit the clamp", seeds)
+// TestGreedyFirstRoundGainIsSize pins why ApproxOracle.TopK needs no
+// first-round pre-pass: on the batch log and the streaming window every
+// node's first-round gain is its size bit for bit, so a pre-pass that
+// lifts each size to its first-round gain would lift none.
+func TestGreedyFirstRoundGainIsSize(t *testing.T) {
+	for _, sh := range exactShapes(t) {
+		as, err := ComputeApprox(sh.log, sh.omega, DefaultPrecision)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := NewApproxOracle(as)
+		size, cov := o.sizes(), o.coverage()
+		for u := range size {
+			if g := cov.gain(graph.NodeID(u)); math.Float64bits(g) != math.Float64bits(size[u]) {
+				t.Fatalf("%s: node %d first-round gain %v, size %v", sh.name, u, g, size[u])
+			}
+		}
 	}
 }
 
 // TestSelectionParallelismInvariant pins that the worker count never
 // changes which seeds any strategy selects: the parallel oracle builds
-// (index fill, collapse, size estimates) and greedy's parallel
-// first-round gains must reproduce the sequential choices exactly, on an
-// oracle built for the call and on one already built.
+// (index fill, collapse, size estimates) must reproduce the sequential
+// choices exactly, on an oracle built for the call and on one already
+// built.
 func TestSelectionParallelismInvariant(t *testing.T) {
 	defer SetParallelism(0)
 	rng := rand.New(rand.NewSource(21))

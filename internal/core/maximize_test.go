@@ -281,7 +281,7 @@ func TestExactIndexMatchesMapReference(t *testing.T) {
 				size[u] = float64(s.IRSSize(graph.NodeID(u)))
 			}
 			for _, k := range []int{1, 3, n, n + 4} {
-				want := greedyTopK(n, k, size, &mapCoverage{s: s, covered: map[graph.NodeID]struct{}{}}, false)
+				want := greedyTopK(n, k, size, &mapCoverage{s: s, covered: map[graph.NodeID]struct{}{}})
 				if got := TopKExact(s, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s k=%d: TopKExact %v, map reference %v", name, k, got, want)
 				}
@@ -323,5 +323,27 @@ func TestExactSpreadAllocs(t *testing.T) {
 	seeds := []graph.NodeID{3, 17, 42, 99, 150, 3}
 	if allocs := testing.AllocsPerRun(200, func() { _ = o.Spread(seeds) }); allocs > 1 {
 		t.Fatalf("ExactOracle.Spread allocates %.1f times per call, want ≤ 1", allocs)
+	}
+}
+
+// TestApproxSpreadAllocs is the allocation gate of the approx oracle: a
+// Spread query allocates its union's register array and nothing else,
+// and a greedy marginal-gain evaluation allocates nothing, so neither a
+// per-seed sketch nor a per-gain clone can creep back in.
+func TestApproxSpreadAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	s, err := ComputeApprox(randomLog(rng, 200, 3000), 500, DefaultPrecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewApproxOracle(s)
+	seeds := []graph.NodeID{3, 17, 42, 99, 150, 3}
+	if allocs := testing.AllocsPerRun(200, func() { _ = o.Spread(seeds) }); allocs > 1 {
+		t.Fatalf("ApproxOracle.Spread allocates %.1f times per call, want ≤ 1", allocs)
+	}
+	cov := o.coverage()
+	cov.add(3)
+	if allocs := testing.AllocsPerRun(200, func() { _ = cov.gain(42) }); allocs != 0 {
+		t.Fatalf("a marginal-gain evaluation allocates %.1f times, want 0", allocs)
 	}
 }

@@ -79,7 +79,8 @@ func (o *ApproxOracle) InfluenceSize(u graph.NodeID) float64 {
 	return o.collapsed[u].Estimate()
 }
 
-// Spread implements Oracle.
+// Spread implements Oracle. The union's register array is its only
+// allocation.
 func (o *ApproxOracle) Spread(seeds []graph.NodeID) float64 {
 	union := hll.MustNew(o.precision)
 	for _, u := range seeds {

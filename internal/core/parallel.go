@@ -50,8 +50,8 @@ import (
 // against the sequential scans on randomized logs.
 
 // Parallelism knob for the package's internal parallel paths (oracle
-// collapse and index fill, first-round greedy gains, summary unions,
-// folds). Zero (the default) means GOMAXPROCS.
+// collapse and index fill, approx selection's size estimates, summary
+// unions, folds). Zero (the default) means GOMAXPROCS.
 var defaultWorkers atomic.Int32
 
 // SetParallelism sets the worker count used by this package's parallel

@@ -16,20 +16,39 @@ func BenchmarkEstimate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Estimate()
+		benchEstimate = s.Estimate()
 	}
 }
 
+// BenchmarkMerge merges into one reused target, as a query's union does.
+// The word-wise maximum does the same work whether or not the target has
+// already absorbed the source, so a saturated target times the same.
 func BenchmarkMerge(b *testing.B) {
 	x, y := MustNew(9), MustNew(9)
 	for i := 0; i < 50000; i++ {
 		x.Add(uint64(i))
 		y.Add(uint64(i + 25000))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Merge into a clone so the target does not saturate.
-		_ = x.Clone().Merge(y)
+		_ = x.Merge(y)
+	}
+}
+
+// BenchmarkEstimateMerged is one marginal-gain evaluation of greedy
+// selection: the estimate of a running union merged with one node's
+// sketch, writing neither.
+func BenchmarkEstimateMerged(b *testing.B) {
+	x, y := MustNew(9), MustNew(9)
+	for i := 0; i < 50000; i++ {
+		x.Add(uint64(i))
+		y.Add(uint64(i + 25000))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchEstimate = x.EstimateMerged(y)
 	}
 }
 
@@ -41,4 +60,7 @@ func BenchmarkHash64(b *testing.B) {
 	benchSink = acc
 }
 
-var benchSink uint64
+var (
+	benchSink     uint64
+	benchEstimate float64
+)

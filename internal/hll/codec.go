@@ -33,12 +33,12 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if len(data) != 5+want {
 		return fmt.Errorf("hll: want %d register bytes, have %d", want, len(data)-5)
 	}
-	s.precision = uint8(p)
-	s.registers = append([]uint8(nil), data[5:]...)
-	for i, r := range s.registers {
-		if int(r) > 64-p+1 {
+	for i, r := range data[5:] {
+		if r > maxRank(uint8(p)) {
 			return fmt.Errorf("hll: register %d holds impossible rank %d", i, r)
 		}
 	}
+	s.precision = uint8(p)
+	s.registers = append([]uint8(nil), data[5:]...)
 	return nil
 }

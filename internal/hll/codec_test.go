@@ -1,6 +1,9 @@
 package hll
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestSketchRoundTrip(t *testing.T) {
 	s := MustNew(8)
@@ -38,10 +41,24 @@ func TestUnmarshalRejectsBadInput(t *testing.T) {
 	if err := s.UnmarshalBinary(good[:len(good)-1]); err == nil {
 		t.Error("truncated registers accepted")
 	}
-	// A register holding an impossible rank is rejected.
-	bad := append([]byte(nil), good...)
-	bad[5] = 255
-	if err := s.UnmarshalBinary(bad); err == nil {
-		t.Error("impossible register accepted")
+	// A register holding an impossible rank is rejected, and the
+	// receiver keeps what it held.
+	held := MustNew(5)
+	held.Add(1)
+	before, _ := held.MarshalBinary()
+	for _, r := range []byte{62, 128, 255} {
+		bad := append([]byte(nil), good...)
+		bad[len(bad)-1] = r
+		if err := held.UnmarshalBinary(bad); err == nil {
+			t.Errorf("impossible register %d accepted", r)
+		}
+		if after, _ := held.MarshalBinary(); !bytes.Equal(after, before) {
+			t.Fatalf("rejected decode of rank %d changed the receiver", r)
+		}
+	}
+	atCap := append([]byte(nil), good...)
+	atCap[len(atCap)-1] = 61
+	if err := s.UnmarshalBinary(atCap); err != nil {
+		t.Errorf("rank at the cap rejected: %v", err)
 	}
 }

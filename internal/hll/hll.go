@@ -16,6 +16,7 @@
 package hll
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -38,12 +39,29 @@ type Sketch struct {
 // if precision is outside [MinPrecision, MaxPrecision].
 func New(precision int) (*Sketch, error) {
 	if precision < MinPrecision || precision > MaxPrecision {
-		return nil, fmt.Errorf("hll: precision %d outside [%d,%d]", precision, MinPrecision, MaxPrecision)
+		return nil, precisionError(precision)
 	}
 	return &Sketch{
 		precision: uint8(precision),
 		registers: make([]uint8, 1<<precision),
 	}, nil
+}
+
+// precisionError is New's error. It formats only when read, which keeps
+// New and MustNew small enough to inline: a query's union sketch then
+// lives on the caller's stack, and its register array is the query's one
+// allocation.
+type precisionError int
+
+func (p precisionError) Error() string {
+	return fmt.Sprintf("hll: precision %d outside [%d,%d]", int(p), MinPrecision, MaxPrecision)
+}
+
+// rankError is SetRegister's panic value, formatted only when read.
+type rankError uint8
+
+func (r rankError) Error() string {
+	return fmt.Sprintf("hll: rank %d is above what Split produces", uint8(r))
 }
 
 // MustNew is New for statically known precisions; it panics on error.
@@ -89,8 +107,14 @@ func (s *Sketch) AddHash(hash uint64) {
 func (s *Sketch) Add(item uint64) { s.AddHash(Hash64(item)) }
 
 // SetRegister raises cell to at least rank. It is the primitive the
-// versioned sketch uses when collapsing a window into a plain HLL.
+// versioned sketch uses when collapsing a window into a plain HLL, and
+// tests use to build reference registers. It panics if rank is above
+// 65−precision, the highest rank Split produces: the register kernel
+// needs every register below 128.
 func (s *Sketch) SetRegister(cell uint32, rank uint8) {
+	if rank > maxRank(s.precision) {
+		panic(rankError(rank))
+	}
 	if rank > s.registers[cell] {
 		s.registers[cell] = rank
 	}
@@ -99,18 +123,31 @@ func (s *Sketch) SetRegister(cell uint32, rank uint8) {
 // Register returns the current rank stored in cell.
 func (s *Sketch) Register(cell uint32) uint8 { return s.registers[cell] }
 
-// Merge unions other into s (cell-wise maximum). Both sketches must share
-// the same precision.
+// Merge unions other into s (cell-wise maximum), eight registers per
+// 64-bit word. Both sketches must share the same precision.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other.precision != s.precision {
 		return fmt.Errorf("hll: cannot merge precision %d into %d", other.precision, s.precision)
 	}
-	for i, r := range other.registers {
-		if r > s.registers[i] {
-			s.registers[i] = r
-		}
+	dst, src := s.registers, other.registers[:len(s.registers)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		d := dst[i : i+8]
+		binary.LittleEndian.PutUint64(d, maxWord(binary.LittleEndian.Uint64(d), binary.LittleEndian.Uint64(src[i:i+8])))
 	}
 	return nil
+}
+
+// EstimateMerged returns the estimate of s merged with other — what
+// Clone, Merge and Estimate return — without writing either sketch.
+// Greedy seed selection evaluates every marginal gain this way. Both
+// sketches must share a precision; EstimateMerged panics otherwise,
+// because its callers build every sketch at one precision and a
+// mismatch is a programming error, not input error.
+func (s *Sketch) EstimateMerged(other *Sketch) float64 {
+	if other.precision != s.precision {
+		panic(fmt.Errorf("hll: cannot merge precision %d into %d", other.precision, s.precision))
+	}
+	return estimate(s.registers, other.registers)
 }
 
 // Clone returns a deep copy.
@@ -131,13 +168,37 @@ func (s *Sketch) Reset() {
 // using the bias-corrected raw estimate with small-range linear counting,
 // as in Flajolet et al.
 func (s *Sketch) Estimate() float64 {
-	return EstimateRegisters(s.registers)
+	return estimate(s.registers, s.registers)
+}
+
+// The register kernel. Every query estimate runs estimate: a cell-wise
+// maximum of two register arrays, eight registers per 64-bit word, and
+// the estimator's sums over the result, without writing anything. The
+// word-wise maximum and the zero count rest on one precondition: every
+// register is below 128. Split caps ranks at 65−precision, SetRegister and UnmarshalBinary
+// refuse anything above that cap, and vhll's decoder does the same for
+// the versioned sketches that collapse into these registers.
+const (
+	low7 = 0x7f7f7f7f7f7f7f7f // 0x7f in every byte
+	high = 0x8080808080808080 // the top bit of every byte
+)
+
+// maxRank is the highest rank Split produces at precision p.
+func maxRank(p uint8) uint8 { return 65 - p }
+
+// maxWord returns the byte-wise maximum of eight registers a and eight
+// registers b. Each byte of (a | high) − b is (128 + a_i) − b_i, between
+// 1 and 255 because a_i, b_i < 128, so no byte borrows from the next and
+// its top bit is set exactly where a_i ≥ b_i.
+func maxWord(a, b uint64) uint64 {
+	ge := ((a | high) - b) & high
+	pick := (ge >> 7) * 0xff // 0xff where a_i ≥ b_i
+	return a&pick | b&^pick
 }
 
 // exp2neg[r] = 2^−r for every possible register value. Ranks are exact
 // binary exponents, so the table entries are the same float64s math.Exp2
-// produces call by call — estimates are bit-identical, minus a ~10 ns
-// transcendental call per register on the summation hot path.
+// produces call by call.
 var exp2neg = func() (t [256]float64) {
 	for i := range t {
 		t[i] = math.Exp2(-float64(i))
@@ -145,20 +206,27 @@ var exp2neg = func() (t [256]float64) {
 	return t
 }()
 
-// EstimateRegisters runs the HyperLogLog estimator over a raw register
-// array (whose length must be a power of two). It is shared with the
-// versioned sketch, which materializes windowed register arrays.
-func EstimateRegisters(registers []uint8) float64 {
-	m := float64(len(registers))
+// estimate runs the HyperLogLog estimator over the cell-wise maximum of
+// a and b, two register arrays of one sketch length (2^p ≥ 16, a whole
+// number of words); a == b estimates a alone. It sums 2^−r in register
+// order, so the estimate is the float64 a register-at-a-time loop over
+// the merged array gives.
+func estimate(a, b []uint8) float64 {
+	b = b[:len(a)]
 	var sum float64
 	zeros := 0
-	for _, r := range registers {
-		sum += exp2neg[r]
-		if r == 0 {
-			zeros++
-		}
+	for i := 0; i+8 <= len(a); i += 8 {
+		w := maxWord(binary.LittleEndian.Uint64(a[i:i+8]), binary.LittleEndian.Uint64(b[i:i+8]))
+		// Every byte is below 128, so adding 0x7f to it never carries
+		// into the next: the top bit of w + low7 is clear exactly in the
+		// zero bytes.
+		zeros += bits.OnesCount64(^(w + low7) & high)
+		// The additions run left to right, one register at a time.
+		sum = sum + exp2neg[uint8(w)] + exp2neg[uint8(w>>8)] + exp2neg[uint8(w>>16)] + exp2neg[uint8(w>>24)] +
+			exp2neg[uint8(w>>32)] + exp2neg[uint8(w>>40)] + exp2neg[uint8(w>>48)] + exp2neg[uint8(w>>56)]
 	}
-	raw := alpha(len(registers)) * m * m / sum
+	m := float64(len(a))
+	raw := alpha(len(a)) * m * m / sum
 	// Small-range correction: fall back to linear counting while any cell
 	// is still empty and the raw estimate is below the 5/2·m threshold.
 	if raw <= 2.5*m && zeros > 0 {

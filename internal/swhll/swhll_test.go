@@ -108,16 +108,13 @@ func (n *naiveWindow) add(hash uint64, t int64) {
 }
 
 func (n *naiveWindow) estimateAt(precision int, now int64) float64 {
-	regs := make([]uint8, 1<<precision)
+	regs := hll.MustNew(precision)
 	for h, t := range n.obs {
 		if t > now-n.window && t <= now {
-			cell, rank := hll.Split(h, precision)
-			if rank > regs[cell] {
-				regs[cell] = rank
-			}
+			regs.AddHash(h)
 		}
 	}
-	return hll.EstimateRegisters(regs)
+	return regs.Estimate()
 }
 
 // TestMatchesNaiveReference drives random forward streams into both

@@ -76,7 +76,8 @@ func appendCell(b []byte, list []Entry) []byte {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded
-// sketch is verified against the staircase invariant, so corrupted or
+// sketch is verified against the staircase invariant, and every entry
+// rank against [1, 65−p], the ranks hll.Split produces, so corrupted or
 // adversarial input is rejected rather than silently accepted. The cell
 // index is built as cells are read (with the slot map once they outnumber
 // the switch point); cell regions are tight (capacity = length), and
@@ -123,6 +124,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			rank, err := r.ReadByte()
 			if err != nil {
 				return fmt.Errorf("vhll: cell %d entry %d rank: %v", i, j, err)
+			}
+			// hll.Split yields ranks in [1, 65−p]; the register kernel
+			// that collapses into relies on every rank staying below 128.
+			if rank < 1 || int(rank) > 65-p {
+				return fmt.Errorf("vhll: cell %d entry %d rank %d outside [1,%d]", i, j, rank, 65-p)
 			}
 			prev += delta
 			list[j] = Entry{At: prev, Rank: rank}

@@ -106,3 +106,28 @@ func TestUnmarshalRejectsInvariantViolations(t *testing.T) {
 		t.Fatal("staircase violation accepted")
 	}
 }
+
+// rankPayload hand-builds a VHL1 payload at precision 4 whose cell 0
+// holds one entry (t = 1) of the given rank, every other cell empty.
+func rankPayload(rank uint8) []byte {
+	payload := []byte{'V', 'H', 'L', '1', 4, 1, 2, rank}
+	return append(payload, make([]byte, 15)...)
+}
+
+// TestUnmarshalRejectsImpossibleRanks: an entry rank outside [1, 65−p],
+// which no hash produces, is an error; the register kernel sketches
+// collapse into relies on every rank staying below 128.
+func TestUnmarshalRejectsImpossibleRanks(t *testing.T) {
+	var s Sketch
+	if err := s.UnmarshalBinary(rankPayload(61)); err != nil {
+		t.Fatalf("rank 61 at precision 4 (the cap) rejected: %v", err)
+	}
+	if got := s.Cell(0); len(got) != 1 || got[0] != (Entry{At: 1, Rank: 61}) {
+		t.Fatalf("decoded cell 0 = %v", got)
+	}
+	for _, rank := range []uint8{0, 62, 127, 128, 255} {
+		if err := s.UnmarshalBinary(rankPayload(rank)); err == nil {
+			t.Errorf("rank %d at precision 4 accepted", rank)
+		}
+	}
+}

@@ -66,6 +66,11 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// Entry ranks no hash produces, at and past the register kernel's
+	// below-128 precondition, beside the highest legal one.
+	for _, rank := range []uint8{0, 61, 62, 128, 255} {
+		f.Add(rankPayload(rank))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Sketch
 		if err := s.UnmarshalBinary(data); err != nil {
@@ -73,6 +78,13 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		if err := s.CheckInvariant(); err != nil {
 			t.Fatalf("accepted payload violates invariant: %v", err)
+		}
+		for i := 0; i < s.NumCells(); i++ {
+			for _, e := range s.Cell(i) {
+				if e.Rank < 1 || int(e.Rank) > 65-s.Precision() {
+					t.Fatalf("accepted rank %d at precision %d", e.Rank, s.Precision())
+				}
+			}
 		}
 		// Lossless re-encode.
 		out, err := s.MarshalBinary()

@@ -305,3 +305,60 @@ func TestUnionMatchesCloneMerge(t *testing.T) {
 		}
 	}
 }
+
+// TestCollapseIntoMatchesCollapseThenMerge holds each collapse-into form
+// to its allocating form followed by Merge, into a union that already
+// holds registers, on random sketches in both cell-index modes.
+func TestCollapseIntoMatchesCollapseThenMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	modes := map[bool]int{}
+	for trial := 0; trial < 300; trial++ {
+		p := []int{4, 9, 9, 11}[rng.Intn(4)]
+		s := MustNew(p)
+		items := []int{1, 5, denseAbove, 3 * denseAbove, 2000}[rng.Intn(5)]
+		cur := int64(1 << 20)
+		for i := 0; i < items; i++ {
+			cur -= int64(rng.Intn(3))
+			s.AddHash(hll.Hash64(uint64(rng.Intn(4*items+1))), cur)
+		}
+		modes[s.slot != nil]++
+		start := hll.MustNew(p)
+		for i := rng.Intn(200); i > 0; i-- {
+			start.Add(uint64(rng.Int63()))
+		}
+		t0, omega := cur+int64(rng.Intn(items+1)), int64(1+rng.Intn(2*items+1))
+		forms := []struct {
+			name     string
+			into     func(*hll.Sketch)
+			collapse func() *hll.Sketch
+		}{
+			{"Collapse", s.CollapseInto, s.Collapse},
+			{"CollapseBefore", func(u *hll.Sketch) { s.CollapseBeforeInto(u, t0) }, func() *hll.Sketch { return s.CollapseBefore(t0) }},
+			{"CollapseWindow", func(u *hll.Sketch) { s.CollapseWindowInto(u, t0, omega) }, func() *hll.Sketch { return s.CollapseWindow(t0, omega) }},
+		}
+		for _, f := range forms {
+			got, want := start.Clone(), start.Clone()
+			f.into(got)
+			if err := want.Merge(f.collapse()); err != nil {
+				t.Fatal(err)
+			}
+			gb, _ := got.MarshalBinary()
+			wb, _ := want.MarshalBinary()
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("trial %d p=%d: %sInto differs from %s then Merge", trial, p, f.name, f.name)
+			}
+		}
+	}
+	if modes[false] == 0 || modes[true] == 0 {
+		t.Fatalf("index modes covered: sparse %d, dense %d", modes[false], modes[true])
+	}
+}
+
+func TestCollapseIntoPrecisionMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CollapseInto across precisions did not panic")
+		}
+	}()
+	withCells(3).CollapseInto(hll.MustNew(10))
+}

@@ -374,25 +374,17 @@ func maxRankInWindow(list []Entry, lo, hi int64) uint8 {
 // EstimateWindow approximates the number of distinct items whose timestamp
 // lies in [t, t+omega−1].
 func (s *Sketch) EstimateWindow(t, omega int64) float64 {
-	registers := make([]uint8, s.NumCells())
-	hi := t + omega - 1
-	for k, cell := range s.occupied {
-		if r := maxRankInWindow(s.cellEntries(k), t, hi); r > 0 {
-			registers[cell] = r
-		}
-	}
-	return hll.EstimateRegisters(registers)
+	out := hll.MustNew(int(s.precision))
+	s.CollapseWindowInto(out, t, omega)
+	return out.Estimate()
 }
 
 // Estimate approximates the number of distinct items ever inserted,
 // ignoring timestamps (every version participates).
 func (s *Sketch) Estimate() float64 {
-	registers := make([]uint8, s.NumCells())
-	for k, cell := range s.occupied {
-		r := s.regs[k]
-		registers[cell] = s.arena[int(r.off)+int(r.n)-1].Rank
-	}
-	return hll.EstimateRegisters(registers)
+	out := hll.MustNew(int(s.precision))
+	s.CollapseInto(out)
+	return out.Estimate()
 }
 
 // Collapse flattens the sketch into a plain HyperLogLog holding, per cell,
@@ -400,11 +392,29 @@ func (s *Sketch) Estimate() float64 {
 // which is how the influence oracle combines per-node summaries (§4.1).
 func (s *Sketch) Collapse() *hll.Sketch {
 	out := hll.MustNew(int(s.precision))
+	s.CollapseInto(out)
+	return out
+}
+
+// CollapseInto raises out, cell by cell, to at least the Collapse of s:
+// out becomes the union of itself and Collapse(), with no sketch built
+// in between. A query over several seeds collapses each seed's sketch
+// straight into its one union this way. The Into forms panic when out's
+// precision differs from s's, because their callers build the union at
+// the summaries' one precision and a mismatch is a programming error.
+func (s *Sketch) CollapseInto(out *hll.Sketch) {
+	s.checkInto(out)
 	for k, cell := range s.occupied {
 		r := s.regs[k]
 		out.SetRegister(cell, s.arena[int(r.off)+int(r.n)-1].Rank)
 	}
-	return out
+}
+
+// checkInto panics unless out shares the sketch's precision.
+func (s *Sketch) checkInto(out *hll.Sketch) {
+	if out.Precision() != int(s.precision) {
+		panic(fmt.Errorf("vhll: cannot collapse precision %d into %d", s.precision, out.Precision()))
+	}
 }
 
 // EstimateBefore approximates the number of distinct items whose
@@ -414,40 +424,47 @@ func (s *Sketch) Collapse() *hll.Sketch {
 // where an item's timestamp is λ(u,v), this estimates how many nodes u
 // reaches BY the deadline.
 func (s *Sketch) EstimateBefore(deadline int64) float64 {
-	registers := make([]uint8, s.NumCells())
-	for k, cell := range s.occupied {
-		list := s.cellEntries(k)
-		if idx := upperBound(list, deadline); idx > 0 {
-			registers[cell] = list[idx-1].Rank
-		}
-	}
-	return hll.EstimateRegisters(registers)
+	out := hll.MustNew(int(s.precision))
+	s.CollapseBeforeInto(out, deadline)
+	return out.Estimate()
 }
 
 // CollapseBefore flattens the sketch restricted to timestamps at most
 // deadline, for O(β) unions of deadline-bounded summaries.
 func (s *Sketch) CollapseBefore(deadline int64) *hll.Sketch {
 	out := hll.MustNew(int(s.precision))
+	s.CollapseBeforeInto(out, deadline)
+	return out
+}
+
+// CollapseBeforeInto is CollapseInto for CollapseBefore.
+func (s *Sketch) CollapseBeforeInto(out *hll.Sketch, deadline int64) {
+	s.checkInto(out)
 	for k, cell := range s.occupied {
 		list := s.cellEntries(k)
 		if idx := upperBound(list, deadline); idx > 0 {
 			out.SetRegister(cell, list[idx-1].Rank)
 		}
 	}
-	return out
 }
 
 // CollapseWindow flattens the sketch restricted to timestamps in
 // [t, t+omega−1].
 func (s *Sketch) CollapseWindow(t, omega int64) *hll.Sketch {
 	out := hll.MustNew(int(s.precision))
+	s.CollapseWindowInto(out, t, omega)
+	return out
+}
+
+// CollapseWindowInto is CollapseInto for CollapseWindow.
+func (s *Sketch) CollapseWindowInto(out *hll.Sketch, t, omega int64) {
+	s.checkInto(out)
 	hi := t + omega - 1
 	for k, cell := range s.occupied {
 		if r := maxRankInWindow(s.cellEntries(k), t, hi); r > 0 {
 			out.SetRegister(cell, r)
 		}
 	}
-	return out
 }
 
 // MergeWindow folds other into s, keeping only entries whose timestamp tx

@@ -267,14 +267,14 @@ func (n *naiveVHLL) add(hash uint64, t int64) {
 }
 
 func (n *naiveVHLL) estimateWindow(t, omega int64) float64 {
-	regs := make([]uint8, 1<<n.precision)
+	regs := hll.MustNew(n.precision)
 	hi := t + omega - 1
 	for _, tr := range n.triples {
-		if tr.at >= t && tr.at <= hi && tr.rank > regs[tr.cell] {
-			regs[tr.cell] = tr.rank
+		if tr.at >= t && tr.at <= hi {
+			regs.SetRegister(tr.cell, tr.rank)
 		}
 	}
-	return hll.EstimateRegisters(regs)
+	return regs.Estimate()
 }
 
 // TestWindowEstimateMatchesNaive drives random reverse-ordered streams

@@ -126,9 +126,9 @@ func ComputeApproxParallel(n *Network, omega int64, precision, workers int) (*Ap
 }
 
 // SetParallelism fixes the worker count used by the library's internal
-// parallel phases — oracle collapse and index fill, first-round
-// seed-selection gains, summary unions, checkpoint folds. Zero (the
-// default) means GOMAXPROCS.
+// parallel phases — oracle collapse and index fill, seed-selection size
+// estimates, summary unions, checkpoint folds. Zero (the default) means
+// GOMAXPROCS.
 func SetParallelism(workers int) { core.SetParallelism(workers) }
 
 // ReadExactIRS loads exact summaries previously saved with
